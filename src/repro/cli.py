@@ -30,40 +30,16 @@ from __future__ import annotations
 import argparse
 import logging
 import os
-import re
 import sys
 from typing import Sequence
 
 from repro.core.system import CheckMode, ParaVerserConfig, ParaVerserSystem
 from repro.cpu.config import CoreInstance
-from repro.cpu.presets import CORE_CLASSES
+from repro.cpu.presets import CORE_CLASSES, parse_checkers
 from repro.noc.mesh import FAST_NOC, SLOW_NOC
 from repro.power.energy import energy_report
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import ALL_PROFILES, get_profile
-
-_CHECKER_SPEC = re.compile(r"^(\d+)x([A-Za-z0-9]+)@([\d.]+)$")
-
-
-def parse_checkers(spec: str) -> list[CoreInstance]:
-    """Parse ``"4xA510@2.0,1xX2@3.0"`` into core instances."""
-    instances: list[CoreInstance] = []
-    for part in spec.split(","):
-        match = _CHECKER_SPEC.match(part.strip())
-        if not match:
-            raise argparse.ArgumentTypeError(
-                f"bad checker spec {part!r}; expected e.g. 4xA510@2.0"
-            )
-        count, name, freq = match.groups()
-        config = CORE_CLASSES.get(name)
-        if config is None:
-            raise argparse.ArgumentTypeError(
-                f"unknown core class {name!r}; known: {sorted(CORE_CLASSES)}"
-            )
-        instances.extend([CoreInstance(config, float(freq))] * int(count))
-    if not instances:
-        raise argparse.ArgumentTypeError("empty checker specification")
-    return instances
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,8 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     inject = sub.add_parser("inject",
                             help="run a stuck-at fault-injection campaign")
     inject.add_argument("-w", "--workload", required=True)
-    inject.add_argument("-c", "--checkers", type=parse_checkers,
-                        default=parse_checkers("1xA510@1.0"))
+    inject.add_argument("-c", "--checkers", metavar="SPEC",
+                        default="1xA510@1.0")
     inject.add_argument("-t", "--trials", type=int, default=20)
     inject.add_argument("-n", "--instructions", type=int, default=40_000)
     inject.add_argument("--seed", type=int, default=7)
@@ -550,39 +526,39 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_inject(args: argparse.Namespace) -> int:
     """`paraverser inject`: run a stuck-at fault-injection campaign."""
-    from repro.faults.campaign import FaultCampaign, covered_segments
-
-    program = build_program(get_profile(args.workload), seed=args.seed)
-    config = ParaVerserConfig(
-        main=CoreInstance(CORE_CLASSES["X2"], 3.0),
-        checkers=args.checkers,
-        mode=CheckMode.OPPORTUNISTIC,
-        seed=args.seed,
+    from repro.faults.engine import (
+        CampaignSpec,
+        campaign_context,
+        run_campaign,
     )
-    system = ParaVerserSystem(config)
-    run = system.execute(program, max_instructions=args.instructions)
-    result = system.run(program, run_result=run)
-    segments = system.segment(run)
-    campaign = FaultCampaign(program, segments,
-                             args.checkers[0].config)
-    outcome = campaign.run(args.trials, seed=args.seed,
-                           covered=covered_segments(result))
+    from repro.faults.models import FAULT_STUCK_AT
+
+    try:
+        spec = CampaignSpec(workload=args.workload, checkers=args.checkers,
+                            instructions=args.instructions, seed=args.seed,
+                            trials=args.trials,
+                            fault_kinds=(FAULT_STUCK_AT,))
+    except ValueError as exc:
+        print(f"inject: {exc}", file=sys.stderr)
+        return 2
+    outcome = run_campaign(spec, jobs=1)
+    coverage = campaign_context(spec).coverage
     print(f"workload:                {args.workload}")
-    print(f"instruction coverage:    {result.coverage * 100:.1f}%")
+    print(f"instruction coverage:    {coverage * 100:.1f}%")
     print(f"injected faults:         {outcome.injected}")
     print(f"detected:                {outcome.detected}")
     print(f"masked:                  {outcome.masked}")
     print(f"detection (all):         {outcome.detection_rate_all * 100:.0f}%")
     print("detection (effective):   "
           f"{outcome.detection_rate_effective * 100:.0f}%")
-    for trial in outcome.trials:
-        status = ("DETECTED" if trial.detected
-                  else "masked" if trial.masked else "missed")
-        print(f"  {trial.fault.describe():55s} {status}")
+    for record in outcome.records:
+        status = ("DETECTED" if record.detected
+                  else "masked" if record.masked else "missed")
+        print(f"  {record.fault:55s} {status}")
     return 0
 
 
-def _print_campaign_row(row: dict) -> None:
+def _print_campaign(row: dict) -> None:
     print(f"workload:                {row['workload']}")
     print(f"checkers:                {row['checkers']} ({row['mode']})")
     if row.get("scheme", "paraverser") != "paraverser":
@@ -607,55 +583,15 @@ def _print_campaign_row(row: dict) -> None:
           f"(jobs={row['jobs']})")
 
 
-def _campaign_fault_kinds(raw: str | None,
-                          scheme: str = "paraverser") -> tuple[str, ...]:
-    from repro.faults.models import ALL_FAULT_KINDS
-    from repro.faults.scenarios import default_fault_kinds
-
-    if raw is None:
-        return default_fault_kinds(scheme)
-    kinds = tuple(k.strip() for k in raw.split(",") if k.strip())
-    unknown = [k for k in kinds if k not in ALL_FAULT_KINDS]
-    if not kinds or unknown:
-        raise argparse.ArgumentTypeError(
-            f"bad fault kinds {raw!r}; "
-            f"pick from {', '.join(ALL_FAULT_KINDS)}")
-    return kinds
-
-
-def _campaign_scheme(raw: str) -> str:
-    from repro.faults.scenarios import CAMPAIGN_SCHEMES
-
-    if raw not in CAMPAIGN_SCHEMES:
-        raise argparse.ArgumentTypeError(
-            f"unknown detection scheme {raw!r}; "
-            f"pick from {', '.join(CAMPAIGN_SCHEMES)}")
-    return raw
-
-
-def _campaign_remote(args: argparse.Namespace,
-                     fault_kinds: tuple[str, ...], trials: int) -> int:
+def _campaign_remote(args: argparse.Namespace, request) -> int:
     import json as _json
 
     from repro.serve.client import EvalClient
-    from repro.serve.protocol import CampaignRequest
 
     if args.resume or args.campaign_dir:
         print("campaign: --resume/--campaign-dir are local-only "
               "(the server runs each request whole)", file=sys.stderr)
         return 2
-    request = CampaignRequest(
-        workload=args.workload,
-        checkers=args.checkers,
-        mode=args.mode,
-        hash_mode=args.hash_mode,
-        instructions=args.instructions,
-        seed=args.seed,
-        trials=trials,
-        fault_kinds=fault_kinds,
-        scheme=args.scheme,
-        timeout_s=args.timeout,
-    )
     try:
         with EvalClient(args.host, args.port) as client:
             response = client.campaign(request)
@@ -671,7 +607,7 @@ def _campaign_remote(args: argparse.Namespace,
     if args.json:
         print(_json.dumps(row, sort_keys=True))
     else:
-        _print_campaign_row(row)
+        _print_campaign(row)
     return 0
 
 
@@ -687,31 +623,37 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.harness.runner import env_jobs, env_trials
     from repro.obs import StatGroup
 
-    try:
-        scheme = _campaign_scheme(args.scheme)
-        fault_kinds = _campaign_fault_kinds(args.fault_kinds, scheme)
-        parse_checkers(args.checkers)  # fail fast on a bad pool spec
-    except argparse.ArgumentTypeError as exc:
-        print(f"campaign: {exc}", file=sys.stderr)
-        return 2
-    trials = args.trials if args.trials is not None else env_trials()
-    if args.host:
-        return _campaign_remote(args, fault_kinds, trials)
-    if args.resume and not args.campaign_dir:
-        print("campaign: --resume requires --campaign-dir",
-              file=sys.stderr)
-        return 2
-    spec = CampaignSpec(
+    fault_kinds = None
+    if args.fault_kinds is not None:
+        fault_kinds = tuple(k.strip() for k in args.fault_kinds.split(",")
+                            if k.strip())
+    fields = dict(
         workload=args.workload,
         checkers=args.checkers,
         mode=args.mode,
         hash_mode=args.hash_mode,
         instructions=args.instructions,
         seed=args.seed,
-        trials=trials,
+        trials=args.trials if args.trials is not None else env_trials(),
         fault_kinds=fault_kinds,
-        scheme=scheme,
+        scheme=args.scheme,
     )
+    try:
+        if args.host:
+            from repro.serve.protocol import CampaignRequest
+
+            spec = CampaignRequest(**fields, timeout_s=args.timeout)
+        else:
+            spec = CampaignSpec(**fields)
+    except ValueError as exc:
+        print(f"campaign: {exc}", file=sys.stderr)
+        return 2
+    if args.host:
+        return _campaign_remote(args, spec)
+    if args.resume and not args.campaign_dir:
+        print("campaign: --resume requires --campaign-dir",
+              file=sys.stderr)
+        return 2
     jobs = args.jobs if args.jobs is not None else env_jobs()
     if jobs <= 0:
         jobs = os.cpu_count() or 1
@@ -726,7 +668,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         bus = TelemetryBus(history=1)
         bus.attach_jsonl(args.telemetry_jsonl)
         label = f"faults.{spec.workload}"
-        every = max(1, trials // 20)
+        every = max(1, spec.trials // 20)
         progress = {"trials": 0, "detected": 0, "masked": 0}
 
         def on_record(record):
@@ -734,7 +676,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             progress["detected"] += 1 if record.detected else 0
             progress["masked"] += 1 if record.masked else 0
             if progress["trials"] % every == 0 \
-                    or progress["trials"] == trials:
+                    or progress["trials"] == spec.trials:
                 bus.publish({"campaign": dict(progress)}, label=label)
 
     try:
@@ -749,7 +691,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.json:
         print(_json.dumps(row, sort_keys=True))
     else:
-        _print_campaign_row(row)
+        _print_campaign(row)
     if args.stats_json:
         stats = StatGroup("root")
         publish_campaign_stats(stats, outcome)
@@ -772,25 +714,18 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         publish_campaign_stats,
         run_campaign,
     )
-    from repro.faults.scenarios import (
-        CAMPAIGN_SCHEMES,
-        default_fault_kinds,
-    )
+    from repro.faults.scenarios import CAMPAIGN_SCHEMES
     from repro.obs import StatGroup
 
-    if args.schemes is None:
-        schemes = list(CAMPAIGN_SCHEMES)
-    else:
-        schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-        unknown = [s for s in schemes if s not in CAMPAIGN_SCHEMES]
-        if not schemes or unknown:
-            print(f"scenarios: unknown schemes {unknown}; "
-                  f"pick from {', '.join(CAMPAIGN_SCHEMES)}",
-                  file=sys.stderr)
-            return 2
+    schemes = (CAMPAIGN_SCHEMES if args.schemes is None
+               else [s.strip() for s in args.schemes.split(",")])
     try:
-        parse_checkers(args.checkers)
-    except argparse.ArgumentTypeError as exc:
+        specs = [CampaignSpec(workload=args.workload, checkers=args.checkers,
+                              mode=args.mode, instructions=args.instructions,
+                              seed=args.seed, trials=args.trials,
+                              scheme=scheme)
+                 for scheme in schemes]
+    except ValueError as exc:
         print(f"scenarios: {exc}", file=sys.stderr)
         return 2
     jobs = args.jobs
@@ -800,20 +735,10 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     stats = StatGroup("root")
     faults_group = stats.group("faults", "detection-scenario campaigns")
     rows = []
-    for scheme in schemes:
-        spec = CampaignSpec(
-            workload=args.workload,
-            checkers=args.checkers,
-            mode=args.mode,
-            instructions=args.instructions,
-            seed=args.seed,
-            trials=args.trials,
-            fault_kinds=default_fault_kinds(scheme),
-            scheme=scheme,
-        )
+    for spec in specs:
         outcome = run_campaign(spec, jobs=jobs)
         publish_campaign_stats(faults_group, outcome,
-                               name=scheme.replace("-", "_"))
+                               name=spec.scheme.replace("-", "_"))
         rows.append(outcome.to_row())
 
     if args.json:

@@ -364,6 +364,3 @@ class CheckerCore:
                 result.events.append(event)
         return result
 
-    def check_segments(self, segments: list[Segment]) -> list[CheckResult]:
-        """Check a series of segments, in order."""
-        return [self.check_segment(segment) for segment in segments]

@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro.core.counter import Segment
 from repro.core.hashmode import DIGEST_BYTES
 from repro.core.simconfig import CheckMode, ParaVerserConfig
-from repro.cpu.config import CoreInstance
 from repro.cpu.functional import RunResult
 from repro.cpu.timing import TimingResult
 from repro.isa.program import Program
@@ -44,7 +43,6 @@ from repro.pipeline.timing import (
     baseline_timing,
     build_uncore,
     checker_durations,
-    checker_timing,
     grid_time_at,
     main_timing,
     warm_addresses,
@@ -107,11 +105,6 @@ class ParaVerserSystem:
                      checkpoint_overhead: bool | None = None) -> TimingResult:
         return main_timing(self.config, run, boundaries, extra_llc_ns,
                            uncore, checkpoint_overhead)
-
-    def _checker_timing(self, run: RunResult, boundaries: list[int],
-                        instance: CoreInstance,
-                        uncore: SharedUncore | None = None) -> TimingResult:
-        return checker_timing(self.config, run, boundaries, instance, uncore)
 
     # -- top level --------------------------------------------------------
 

@@ -23,33 +23,16 @@ pay per-object allocation and attribute-dispatch costs.  A
 Rows are plain tuples while the trace is being built (list appends are
 the cheapest thing the interpreter can do per commit); the packed form
 (:meth:`to_payload` / :meth:`from_payload`) converts each column to a
-little-endian fixed-width byte string — numpy-backed when available,
-with a pure-python :mod:`array` fallback.  Set ``REPRO_NO_NUMPY=1`` to
-force the fallback (exercised in CI).
+little-endian fixed-width byte string with numpy.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-from array import array
 from collections import Counter
 
+import numpy as np
+
 from repro.isa.instructions import OP_SPECS, Opcode
-
-
-def _load_numpy():
-    if os.environ.get("REPRO_NO_NUMPY") == "1":
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is normally present
-        return None
-    return numpy
-
-
-_np = _load_numpy()
-HAVE_NUMPY = _np is not None
 
 #: Presence bits of the packed memory-plane ``flags`` column.
 HAS_ADDR = 1
@@ -61,36 +44,17 @@ HAS_NONREP = 32
 HAS_BULK = 64
 
 
-def _typecode(itemsize: int) -> str:
-    """Stdlib array typecode with exactly ``itemsize`` bytes."""
-    for code in {1: "B", 2: "HI", 4: "ILQ", 8: "QL"}[itemsize]:
-        if array(code).itemsize == itemsize:
-            return code
-    raise RuntimeError(f"no array typecode of {itemsize} bytes")
-
-
 _NP_DTYPES = {1: "u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 
 
 def pack_column(values, itemsize: int) -> bytes:
     """Pack unsigned ints into little-endian fixed-width bytes."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_NP_DTYPES[itemsize]).tobytes()
-    arr = array(_typecode(itemsize), values)
-    if sys.byteorder == "big":  # pragma: no cover - LE hosts everywhere
-        arr.byteswap()
-    return arr.tobytes()
+    return np.asarray(values, dtype=_NP_DTYPES[itemsize]).tobytes()
 
 
 def unpack_column(data: bytes, itemsize: int) -> list[int]:
     """Inverse of :func:`pack_column`; returns plain python ints."""
-    if _np is not None:
-        return _np.frombuffer(data, dtype=_NP_DTYPES[itemsize]).tolist()
-    arr = array(_typecode(itemsize))
-    arr.frombytes(data)
-    if sys.byteorder == "big":  # pragma: no cover
-        arr.byteswap()
-    return arr.tolist()
+    return np.frombuffer(data, dtype=_NP_DTYPES[itemsize]).tolist()
 
 
 def _static_next_table(program) -> list[tuple]:

@@ -15,7 +15,10 @@ mechanism behind bwaves' behaviour in Figs. 6-8.
 
 from __future__ import annotations
 
-from repro.cpu.config import CoreConfig, CoreKind, FUConfig
+import argparse
+import re
+
+from repro.cpu.config import CoreConfig, CoreInstance, CoreKind, FUConfig
 from repro.isa.instructions import FUKind
 from repro.mem.cache import CacheConfig
 from repro.mem.dram import DramConfig
@@ -157,3 +160,43 @@ A35 = CoreConfig(
 )
 
 CORE_CLASSES = {"X2": X2, "A510": A510, "A35": A35}
+
+_CHECKER_SPEC = re.compile(r"^(\d+)x([A-Za-z0-9]+)@([\d.]+)$")
+
+#: Largest checker pool a spec may ask for.  Specs arrive over the wire
+#: and are parsed at the front door, so the count is bounded before a
+#: list of that many cores is built.
+MAX_CHECKERS = 1024
+
+
+class CheckerSpecError(argparse.ArgumentTypeError, ValueError):
+    """A malformed checker-pool spec.
+
+    A :class:`ValueError` to library callers; also an
+    :class:`argparse.ArgumentTypeError`, so ``type=parse_checkers``
+    options print the message as-is.
+    """
+
+
+def parse_checkers(spec: str) -> list[CoreInstance]:
+    """Parse ``"4xA510@2.0,1xX2@3.0"`` into core instances."""
+    instances: list[CoreInstance] = []
+    for part in spec.split(","):
+        match = _CHECKER_SPEC.match(part.strip())
+        if not match:
+            raise CheckerSpecError(
+                f"bad checker spec {part!r}; expected e.g. 4xA510@2.0"
+            )
+        count, name, freq = match.groups()
+        config = CORE_CLASSES.get(name)
+        if config is None:
+            raise CheckerSpecError(
+                f"unknown core class {name!r}; known: {sorted(CORE_CLASSES)}"
+            )
+        if len(instances) + int(count) > MAX_CHECKERS:
+            raise CheckerSpecError(
+                f"checker pool {spec!r} exceeds {MAX_CHECKERS} cores")
+        instances.extend([CoreInstance(config, float(freq))] * int(count))
+    if not instances:
+        raise CheckerSpecError("empty checker specification")
+    return instances

@@ -29,21 +29,40 @@ import logging
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
-from repro.faults.models import FAULT_KINDS, fault_for_trial
+from repro.core.system import CheckMode, ParaVerserSystem
+from repro.cpu.presets import parse_checkers
+from repro.faults.campaign import covered_segments
+from repro.faults.models import ALL_FAULT_KINDS, fault_for_trial
+from repro.faults.scenarios import (
+    CAMPAIGN_SCHEMES,
+    SCHEME_PARAVERSER,
+    default_fault_kinds,
+    make_campaign,
+)
+from repro.workloads.profiles import ALL_PROFILES
 
 logger = logging.getLogger("repro.faults.engine")
 
 #: Shard filename pattern; one per writing process.
 SHARD_GLOB = "shard-*.jsonl"
 
+_MODES = tuple(mode.value for mode in CheckMode)
+
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """Everything a worker needs to run one trial, picklable/JSON-able."""
+    """Everything a worker needs to run one trial, picklable/JSON-able.
+
+    The one campaign type: the CLI, the serve/router wire
+    (:class:`~repro.serve.protocol.CampaignRequest` extends it) and the
+    pool payloads all build it, and construction validates every field,
+    so a bad spec fails with a one-line :class:`ValueError` before any
+    trace or context is built.
+    """
 
     workload: str
     checkers: str = "1xA510@1.0"
@@ -57,12 +76,55 @@ class CampaignSpec:
     #: the shard router fan one campaign out across backends while
     #: every trial stays the same pure function of ``(seed, trial)``.
     trial_offset: int = 0
-    fault_kinds: tuple[str, ...] = FAULT_KINDS
+    #: Fault-site mix; ``None`` resolves to the scheme's
+    #: :func:`~repro.faults.scenarios.default_fault_kinds`.
+    fault_kinds: tuple[str, ...] | None = None
     #: Detection scheme the trials run under (see
     #: :mod:`repro.faults.scenarios`): ``paraverser`` (the paper's
     #: checker), ``dme`` divergent multi-version, ``ithica-sdc`` defect
     #: screen, or ``meek-ro`` reduced observability.
-    scheme: str = "paraverser"
+    scheme: str = SCHEME_PARAVERSER
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.workload, str) \
+                or self.workload not in ALL_PROFILES:
+            raise ValueError(f"unknown workload {self.workload!r}; "
+                             "see `paraverser workloads`")
+        if not isinstance(self.checkers, str):
+            raise ValueError(f"bad checkers {self.checkers!r}: "
+                             "expected a spec such as 1xA510@1.0")
+        try:
+            parse_checkers(self.checkers)
+        except ValueError as exc:
+            raise ValueError(f"bad checkers {self.checkers!r}: {exc}") \
+                from None
+        if self.mode not in _MODES:
+            raise ValueError(f"unknown check mode {self.mode!r}; "
+                             f"pick from {', '.join(_MODES)}")
+        if self.scheme not in CAMPAIGN_SCHEMES:
+            raise ValueError(f"unknown campaign scheme {self.scheme!r}; "
+                             f"pick from {', '.join(CAMPAIGN_SCHEMES)}")
+        kinds = self.fault_kinds
+        if kinds is None:
+            kinds = default_fault_kinds(self.scheme)
+        elif isinstance(kinds, (list, tuple)):
+            kinds = tuple(kinds)
+        if not isinstance(kinds, tuple) or not kinds \
+                or any(k not in ALL_FAULT_KINDS for k in kinds):
+            raise ValueError(f"bad fault kinds {self.fault_kinds!r}; "
+                             f"pick from {', '.join(ALL_FAULT_KINDS)}")
+        object.__setattr__(self, "fault_kinds", kinds)
+        if not isinstance(self.hash_mode, bool):
+            raise ValueError(
+                f"hash_mode must be a bool, got {self.hash_mode!r}")
+        for name, minimum in (("instructions", 1), ("trials", 1),
+                              ("trial_offset", 0), ("seed", None)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or (minimum is not None and value < minimum):
+                bound = "" if minimum is None else f" >= {minimum}"
+                raise ValueError(
+                    f"{name} must be an integer{bound}, got {value!r}")
 
     def key(self) -> str:
         """Stable identity of the campaign's *trial-defining* fields.
@@ -73,22 +135,18 @@ class CampaignSpec:
         global, so growing a campaign from 100 to 500 trials (or
         finishing someone else's window) must reuse recorded results.
         """
-        ident = {k: v for k, v in asdict(self).items()
+        ident = {k: v for k, v in self.to_json().items()
                  if k not in ("trials", "trial_offset")}
         blob = json.dumps(ident, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The spec's own fields (a subclass's extras are not spec)."""
+        return {f.name: getattr(self, f.name)
+                for f in fields(CampaignSpec)}
 
     @classmethod
     def from_json(cls, payload: dict) -> "CampaignSpec":
-        payload = dict(payload)
-        payload["fault_kinds"] = tuple(payload.get("fault_kinds",
-                                                   FAULT_KINDS))
-        # Payloads recorded before the scheme field existed default to
-        # the paper's checker.
-        payload.setdefault("scheme", "paraverser")
         return cls(**payload)
 
 
@@ -250,15 +308,40 @@ _CONTEXT_LIMIT = 4
 
 
 @dataclass
-class _CampaignContext:
-    """The per-process heavy state shared by all of one spec's trials."""
+class CampaignContext:
+    """The heavy state shared by all of one campaign's trials."""
 
-    campaign: object  # FaultCampaign
+    campaign: object  # the scheme's trial runner, e.g. FaultCampaign
     covered: list[int]
     segments: int
+    #: Instruction coverage of the configuration's checked run.
+    coverage: float
 
 
-def _campaign_context(spec: CampaignSpec) -> _CampaignContext:
+def build_campaign_context(cache, workload: str, config,
+                           scheme: str = SCHEME_PARAVERSER,
+                           seed: int = 0) -> CampaignContext:
+    """The campaign context build behind every campaign entry point.
+
+    Runs ``config`` over ``cache``'s functional trace of ``workload``
+    (a :class:`~repro.harness.runner.WorkloadCache`), segments the
+    trace, and builds ``scheme``'s trial runner against the first
+    checker's core with the config's ``hash_mode``.  ``seed`` keys the
+    DME decorrelation masks.
+    """
+    cached = cache.get(workload)
+    result = cache.run_config(workload, config)
+    segments = ParaVerserSystem(config).segment(cached.run)
+    campaign = make_campaign(scheme, cached.program, segments,
+                             config.checkers[0].config,
+                             hash_mode=config.hash_mode, seed=seed)
+    return CampaignContext(campaign=campaign,
+                           covered=covered_segments(result),
+                           segments=len(segments),
+                           coverage=result.coverage)
+
+
+def campaign_context(spec: CampaignSpec) -> CampaignContext:
     """Build-or-fetch this process's context for ``spec``.
 
     Reuses the sweep engine's process-global
@@ -271,26 +354,14 @@ def _campaign_context(spec: CampaignSpec) -> _CampaignContext:
     if ctx is not None:
         return ctx
 
-    from repro.cli import parse_checkers
-    from repro.core.system import CheckMode, ParaVerserSystem
-    from repro.faults.campaign import covered_segments
-    from repro.faults.scenarios import make_campaign
     from repro.harness.parallel import worker_cache
     from repro.harness.runner import make_config
 
-    cache = worker_cache(spec.instructions, spec.seed)
     config = make_config(parse_checkers(spec.checkers),
-                         CheckMode(spec.mode),
-                         hash_mode=spec.hash_mode)
-    cached = cache.get(spec.workload)
-    result = cache.run_config(spec.workload, config)
-    segments = ParaVerserSystem(config).segment(cached.run)
-    campaign = make_campaign(spec.scheme, cached.program, segments,
-                             config.checkers[0].config,
-                             hash_mode=spec.hash_mode, seed=spec.seed)
-    ctx = _CampaignContext(campaign=campaign,
-                           covered=covered_segments(result),
-                           segments=len(segments))
+                         CheckMode(spec.mode), hash_mode=spec.hash_mode)
+    ctx = build_campaign_context(worker_cache(spec.instructions, spec.seed),
+                                 spec.workload, config,
+                                 scheme=spec.scheme, seed=spec.seed)
     _CONTEXTS[key] = ctx
     while len(_CONTEXTS) > _CONTEXT_LIMIT:
         _CONTEXTS.pop(next(iter(_CONTEXTS)))
@@ -304,7 +375,7 @@ def run_trial_in_worker(spec: CampaignSpec, trial: int,
     Returns the :class:`TrialRecord` JSON dict.  Pure function of
     ``(spec, trial)`` — the executing process is irrelevant.
     """
-    ctx = _campaign_context(spec)
+    ctx = campaign_context(spec)
     kind, fault = fault_for_trial(
         spec.seed, trial, ctx.campaign.fu_counts,
         kinds=spec.fault_kinds, segments=ctx.segments)

@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.cluster import ClusterSystem
-from repro.core.system import CheckMode, ParaVerserSystem
+from repro.core.system import CheckMode
 from repro.cpu.config import CoreInstance
 from repro.cpu.presets import A510, X2
 from repro.detect import get_backend
-from repro.faults.campaign import FaultCampaign, covered_segments
+from repro.faults.engine import build_campaign_context
 from repro.harness.parallel import SweepCell
 from repro.harness.report import Table, slowdown_percent
 from repro.harness.runner import (
@@ -203,16 +203,11 @@ def run_fig8(cache: WorkloadCache | None = None,
     injected_all = 0
     masked_all = 0
     for name in benchmarks:
-        cached = cache.get(name)
         for label, make in FIG8_CONFIGS.items():
-            config = make()
-            system = ParaVerserSystem(config)
-            result = system.run(cached.program, run_result=cached.run)
-            segments = system.segment(cached.run)
-            campaign = FaultCampaign(cached.program, segments,
-                                     config.checkers[0].config)
-            outcome = campaign.run(trials, seed=DEFAULT_SEED,
-                                   covered=covered_segments(result))
+            ctx = build_campaign_context(cache, name, make(),
+                                         seed=DEFAULT_SEED)
+            outcome = ctx.campaign.run(trials, seed=DEFAULT_SEED,
+                                       covered=ctx.covered)
             table.add(name, label,
                       outcome.detection_rate_effective * 100)
             detected_all += outcome.detected

@@ -125,22 +125,6 @@ def _cell_task(benchmark: str, config: ParaVerserConfig,
     return result, time.perf_counter() - start
 
 
-def _campaign_trial_task(spec_payload: dict, trial: int,
-                         shard_dir: str | None) -> tuple[dict, float]:
-    """Stage entry point: run one fault-injection campaign trial.
-
-    The heavy per-spec state (trace, segments, coverage) is built once
-    per process by the engine's context cache, on top of the same
-    :func:`worker_cache` the sweep and serve tasks share.
-    """
-    from repro.faults.engine import CampaignSpec, run_trial_in_worker
-
-    start = time.perf_counter()
-    record = run_trial_in_worker(CampaignSpec.from_json(spec_payload),
-                                 trial, shard_dir)
-    return record, time.perf_counter() - start
-
-
 def _campaign_chunk_task(spec_payload: dict, trials: list[int],
                          shard_dir: str | None) -> tuple[list[dict], float]:
     """Stage entry point: run a chunk of campaign trials in one task.

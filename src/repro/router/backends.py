@@ -211,10 +211,6 @@ class BackendManager:
     def names(self) -> list[str]:
         return sorted(self.backends)
 
-    def healthy_names(self) -> list[str]:
-        return [name for name in self.names
-                if self.backends[name].healthy]
-
     def adopt(self, addresses: list[tuple[str, int]]) -> list[Backend]:
         """Register already-running backends by address.
 

@@ -94,7 +94,6 @@ class EvalClient:
 
     def campaign(self, request: CampaignRequest) -> EvalResponse:
         """Send one fault-injection campaign and wait for its row."""
-        request.validate()
         return protocol.response_from_wire(
             self._round_trip(protocol.campaign_to_wire(request)))
 
@@ -209,7 +208,6 @@ class AsyncEvalClient:
             await self._send(protocol.request_to_wire(request)))
 
     async def campaign(self, request: CampaignRequest) -> EvalResponse:
-        request.validate()
         if not request.request_id:
             request = dataclasses.replace(
                 request, request_id=f"r{next(self._ids)}")
@@ -328,7 +326,6 @@ class RouterClient:
         bookkeeping is the router's job; this path is for clients that
         want ring locality without the front-door hop.
         """
-        request.validate()
         return self._route(request,
                            lambda client: client.campaign(request))
 

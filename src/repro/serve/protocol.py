@@ -24,6 +24,10 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
+from repro.core.simconfig import CheckMode
+from repro.cpu.presets import parse_checkers
+from repro.faults.engine import CampaignSpec
+
 PROTOCOL_VERSION = 1
 
 #: Maximum accepted line length (a trace never travels over the wire,
@@ -89,6 +93,14 @@ class EvalRequest:
         if (self.backend is None) == (self.checkers is None):
             raise ProtocolError(
                 "eval request needs exactly one of backend/checkers")
+        if self.checkers is not None and not isinstance(self.checkers, str):
+            raise ProtocolError("checkers must be a pool spec string")
+        try:
+            if self.checkers is not None:
+                parse_checkers(self.checkers)
+            CheckMode(self.mode)
+        except ValueError as exc:
+            raise ProtocolError(f"bad eval request: {exc}") from None
         if self.instructions <= 0:
             raise ProtocolError("instructions must be positive")
         if self.fault_trials < 0:
@@ -110,90 +122,38 @@ class EvalRequest:
         return (self.workload, self.instructions, self.seed)
 
 
-#: Campaign fields that determine the trial outcomes (``trials`` and
-#: ``trial_offset`` are included: the row aggregates over exactly the
-#: trial window ``[trial_offset, trial_offset + trials)``).
-_CAMPAIGN_SIM_FIELDS = ("workload", "checkers", "mode", "hash_mode",
-                        "instructions", "seed", "trials", "trial_offset",
-                        "fault_kinds", "scheme")
-
-#: Default fault-site mix for served campaigns (mirrors
-#: ``repro.faults.models.FAULT_KINDS`` without importing the simulator
-#: into the wire codec).
-DEFAULT_FAULT_KINDS = ("stuck_at", "transient_lsq", "transient_reg")
-
-#: Every fault kind a served campaign may request (mirrors
-#: ``repro.faults.models.ALL_FAULT_KINDS``).
-KNOWN_FAULT_KINDS = DEFAULT_FAULT_KINDS + ("defect",)
-
-#: Detection schemes the campaign engine can run (mirrors
-#: ``repro.faults.scenarios.CAMPAIGN_SCHEMES``).
-KNOWN_CAMPAIGN_SCHEMES = ("paraverser", "dme", "ithica-sdc", "meek-ro")
-
-
 @dataclass(frozen=True)
-class CampaignRequest:
-    """One fault-injection campaign: a workload under one checker pool.
+class CampaignRequest(CampaignSpec):
+    """One fault-injection campaign: a :class:`CampaignSpec` on the wire.
 
-    Flows through the same admission queue and batching layer as
-    :class:`EvalRequest` — it exposes the identical ``sim_key`` /
-    ``sim_spec`` / ``trace_key`` surface — so long campaigns get the
-    service's load-shedding, deadlines and crash-retry for free.
-    ``backend`` is fixed at ``None``: campaigns always run against a
-    simulated checker configuration.
+    Adds only delivery metadata (``timeout_s``, ``request_id``); the
+    spec's construction-time validation surfaces as
+    :class:`ProtocolError`.  Flows through the same admission queue and
+    batching layer as :class:`EvalRequest` — it exposes the identical
+    ``sim_key`` / ``sim_spec`` / ``trace_key`` surface — so long
+    campaigns get the service's load-shedding, deadlines and
+    crash-retry for free.  ``backend`` is fixed at ``None``: campaigns
+    always run against a simulated checker configuration.
     """
 
-    workload: str
-    checkers: str = "1xA510@1.0"
-    mode: str = "opportunistic"
-    hash_mode: bool = False
-    instructions: int = 40_000
-    seed: int = DEFAULT_SEED
-    trials: int = 20
-    #: First trial id of this request's window.  Trial ``t``'s fault is
-    #: a pure function of ``(seed, t)``, so a T-trial campaign split
-    #: into offset windows (the shard router's fan-out) reproduces the
-    #: unsplit campaign record-for-record.
-    trial_offset: int = 0
-    fault_kinds: tuple[str, ...] = DEFAULT_FAULT_KINDS
-    #: Detection scheme the trials run under (paraverser, dme,
-    #: ithica-sdc or meek-ro — see ``repro.faults.scenarios``).
-    scheme: str = "paraverser"
     timeout_s: float | None = None
     request_id: str = ""
 
     backend: ClassVar[None] = None
 
-    def validate(self) -> None:
-        if not self.workload or not isinstance(self.workload, str):
-            raise ProtocolError("campaign request needs a workload name")
-        if not self.checkers or not isinstance(self.checkers, str):
-            raise ProtocolError("campaign request needs a checkers spec")
-        if self.instructions <= 0:
-            raise ProtocolError("instructions must be positive")
-        if self.trials <= 0:
-            raise ProtocolError("trials must be positive")
-        if self.trial_offset < 0:
-            raise ProtocolError("trial_offset must be >= 0")
-        if not self.fault_kinds:
-            raise ProtocolError("fault_kinds must not be empty")
-        unknown = [k for k in self.fault_kinds
-                   if k not in KNOWN_FAULT_KINDS]
-        if unknown:
-            raise ProtocolError(
-                f"unknown fault kinds {unknown}; "
-                f"known: {list(KNOWN_FAULT_KINDS)}")
-        if self.scheme not in KNOWN_CAMPAIGN_SCHEMES:
-            raise ProtocolError(
-                f"unknown campaign scheme {self.scheme!r}; "
-                f"known: {list(KNOWN_CAMPAIGN_SCHEMES)}")
+    def __post_init__(self) -> None:
+        try:
+            super().__post_init__()
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ProtocolError("timeout_s must be positive when given")
 
     def sim_spec(self) -> dict:
-        """The executable subset, tagged so workers branch on ``op``."""
-        data = asdict(self)
-        spec = {name: data[name] for name in _CAMPAIGN_SIM_FIELDS}
+        """The executable subset (every spec field, trials and
+        ``trial_offset`` included: the row aggregates over exactly that
+        window), tagged so workers branch on ``op``."""
+        spec = self.to_json()
         spec["fault_kinds"] = list(spec["fault_kinds"])
         spec["op"] = OP_CAMPAIGN
         return spec
@@ -294,17 +254,10 @@ def campaign_from_wire(payload: dict) -> CampaignRequest:
     for name in CampaignRequest.__dataclass_fields__:
         if name in payload:
             kwargs[name] = payload[name]
-    if "fault_kinds" in kwargs:
-        kinds = kwargs["fault_kinds"]
-        if not isinstance(kinds, (list, tuple)):
-            raise ProtocolError("fault_kinds must be a list of kind names")
-        kwargs["fault_kinds"] = tuple(kinds)
     try:
-        request = CampaignRequest(**kwargs)
+        return CampaignRequest(**kwargs)
     except TypeError as exc:
         raise ProtocolError(f"bad campaign request: {exc}") from None
-    request.validate()
-    return request
 
 
 def response_to_wire(response: EvalResponse) -> dict:

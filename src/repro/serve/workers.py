@@ -49,20 +49,13 @@ def _result_row(result, config) -> dict:
     }
 
 
-def _campaign_row(cache, workload: str, config, trials: int,
-                  seed: int) -> dict:
+def _injection_row(cache, workload: str, config, trials: int,
+                   seed: int) -> dict:
     """Run a stuck-at injection campaign against one configuration."""
-    from repro.core.system import ParaVerserSystem
-    from repro.faults.campaign import FaultCampaign, covered_segments
+    from repro.faults.engine import build_campaign_context
 
-    cached = cache.get(workload)
-    result = cache.run_config(workload, config)
-    system = ParaVerserSystem(config)
-    segments = system.segment(cached.run)
-    campaign = FaultCampaign(cached.program, segments,
-                             config.checkers[0].config)
-    outcome = campaign.run(trials, seed=seed,
-                           covered=covered_segments(result))
+    ctx = build_campaign_context(cache, workload, config, seed=seed)
+    outcome = ctx.campaign.run(trials, seed=seed, covered=ctx.covered)
     return {
         "injected": outcome.injected,
         "detected": outcome.detected,
@@ -74,8 +67,8 @@ def _campaign_row(cache, workload: str, config, trials: int,
 
 def _config_for_spec(spec: dict):
     """Build a ParaVerserConfig from a checkers-spec request."""
-    from repro.cli import parse_checkers
     from repro.core.system import CheckMode
+    from repro.cpu.presets import parse_checkers
     from repro.harness.runner import make_config
 
     return make_config(parse_checkers(spec["checkers"]),
@@ -92,19 +85,8 @@ def _campaign_spec_row(spec: dict) -> dict:
     """
     from repro.faults.engine import CampaignSpec, run_campaign
 
-    campaign_spec = CampaignSpec(
-        workload=spec["workload"],
-        checkers=spec["checkers"],
-        mode=spec["mode"],
-        hash_mode=bool(spec["hash_mode"]),
-        instructions=spec["instructions"],
-        seed=spec["seed"],
-        trials=int(spec["trials"]),
-        trial_offset=int(spec.get("trial_offset", 0)),
-        fault_kinds=tuple(spec["fault_kinds"]),
-        scheme=spec.get("scheme", "paraverser"),
-    )
-    return run_campaign(campaign_spec, jobs=1).to_row()
+    fields = {k: v for k, v in spec.items() if k != "op"}
+    return run_campaign(CampaignSpec.from_json(fields), jobs=1).to_row()
 
 
 def _cache_traffic_snapshot(cache) -> tuple | None:
@@ -178,8 +160,8 @@ def evaluate_spec(spec: dict) -> dict:
             row["injection"] = {
                 "error": "fault injection needs a simulated configuration"}
         else:
-            row["injection"] = _campaign_row(cache, workload, config,
-                                             trials, spec["seed"])
+            row["injection"] = _injection_row(cache, workload, config,
+                                              trials, spec["seed"])
     row["instructions"] = spec["instructions"]
     row["seed"] = spec["seed"]
     row["trace_source"] = source

@@ -6,11 +6,6 @@ legacy per-``TraceEntry`` path produced, on every bundled benchmark —
 same LSL records, same segment cuts, same timing, same bytes on disk.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.core.counter import SegmentBuilder
@@ -114,41 +109,3 @@ def test_extend_shifts_sparse_indices(cache):
     assert set(merged.bulks) \
         == set(cols.bulks) | {i + n for i in cols.bulks}
 
-
-_DIGEST_SCRIPT = """
-import hashlib
-from repro.harness.runner import WorkloadCache
-from repro.cpu import columns
-
-cache = WorkloadCache(max_instructions=%d, seed=%d, trace_cache=None)
-payload = cache.get("x264").run.columns.to_payload()
-h = hashlib.sha256()
-for key in sorted(payload):
-    value = payload[key]
-    h.update(key.encode())
-    h.update(value if isinstance(value, bytes) else str(value).encode())
-print(h.hexdigest())
-print(int(columns.HAVE_NUMPY))
-""" % (BUDGET, SEED)
-
-
-def _digest_in_subprocess(no_numpy: bool) -> tuple[str, bool]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    if no_numpy:
-        env["REPRO_NO_NUMPY"] = "1"
-    else:
-        env.pop("REPRO_NO_NUMPY", None)
-    out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
-                         capture_output=True, text=True, check=True)
-    digest, have_numpy = out.stdout.split()
-    return digest, bool(int(have_numpy))
-
-
-def test_no_numpy_fallback_packs_identical_bytes():
-    """REPRO_NO_NUMPY=1 (pure-python arrays) must produce byte-identical
-    packed columns — the on-disk format cannot depend on the backend."""
-    fallback_digest, have_numpy = _digest_in_subprocess(no_numpy=True)
-    assert not have_numpy
-    default_digest, _ = _digest_in_subprocess(no_numpy=False)
-    assert fallback_digest == default_digest

@@ -245,7 +245,9 @@ def test_ithica_campaign_runs_defect_kind():
 # -- zero-denominator guards (satellite) -------------------------------------
 
 def test_zero_trial_campaign_rates_are_zero_with_warning(caplog):
-    outcome = CampaignOutcome(spec=small_spec(trials=0))
+    # A spec must ask for >= 1 trial; an outcome holding no records is
+    # the zero-trial aggregate.
+    outcome = CampaignOutcome(spec=small_spec())
     with caplog.at_level(logging.WARNING, logger="repro.faults.engine"):
         assert outcome.detection_rate_all == 0.0
         assert outcome.detection_rate_effective == 0.0

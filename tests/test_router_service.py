@@ -21,6 +21,8 @@ from repro.router.service import (
 from repro.serve import protocol
 from repro.serve.client import AsyncEvalClient
 from repro.serve.protocol import CampaignRequest, EvalRequest, STATUS_OK
+from tests.test_serve_protocol import BAD_WIRE_PAYLOADS
+from tests.test_serve_service import _raw_round_trips
 
 KINDS = ("lsl_corrupt", "alu_wrong")
 
@@ -291,6 +293,22 @@ class TestRouting:
                 assert b.request_id == "twin-b"
                 assert sum(len(s.evals) for s in h.shards) == 1
                 assert h.counter("dedup_hits") == 1
+
+        asyncio.run(scenario())
+
+    def test_bad_specs_answer_error_without_forwarding(self):
+        async def scenario():
+            async with RouterHarness() as h:
+                replies = await _raw_round_trips(
+                    h.service.host, h.service.port, BAD_WIRE_PAYLOADS)
+                for i, reply in enumerate(replies):
+                    assert reply["status"] == protocol.STATUS_ERROR
+                    assert reply["request_id"] == f"bad{i}"
+                    assert "\n" not in reply["error"]
+                assert all(not s.evals and not s.campaigns
+                           for s in h.shards)
+                assert h.counter("protocol_errors") \
+                    == len(BAD_WIRE_PAYLOADS)
 
         asyncio.run(scenario())
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults.models import FAULT_KINDS
 from repro.serve import protocol
 from repro.serve.protocol import (
     CampaignRequest,
@@ -144,7 +145,7 @@ def test_campaign_wire_accepts_json_lists():
     wire = protocol.campaign_to_wire(CampaignRequest(workload="mcf"))
     wire["fault_kinds"] = list(wire["fault_kinds"])
     decoded = protocol.campaign_from_wire(wire)
-    assert decoded.fault_kinds == protocol.DEFAULT_FAULT_KINDS
+    assert decoded.fault_kinds == FAULT_KINDS
 
 
 def test_campaign_validation():
@@ -190,3 +191,46 @@ def test_campaign_trace_key_matches_eval_requests():
     evaluation = EvalRequest(workload="mcf", checkers="1xA510@2.0",
                              instructions=4000, seed=7)
     assert campaign.trace_key() == evaluation.trace_key()
+
+
+#: Payloads the front door must refuse before admission, one bad field
+#: each: campaign specs, and evals with a bad pool spec or mode.
+BAD_WIRE_PAYLOADS = [
+    {"op": "campaign", "workload": "nosuch"},
+    {"op": "campaign", "workload": "mcf", "checkers": "9xZ9@1"},
+    {"op": "campaign", "workload": "mcf", "mode": "bogus"},
+    {"op": "campaign", "workload": "mcf", "scheme": "nope"},
+    {"op": "campaign", "workload": "mcf", "fault_kinds": ["transient"]},
+    {"op": "campaign", "workload": "mcf", "trials": -3},
+    {"op": "campaign", "workload": "mcf",
+     "checkers": "99999999999999xA510@1.0"},
+    {"op": "eval", "workload": "mcf", "checkers": "9xZ9@1"},
+    {"op": "eval", "workload": "mcf", "checkers": "A510"},
+    {"op": "eval", "workload": "mcf", "checkers": "99999999999999xA510@1.0"},
+    {"op": "eval", "workload": "mcf", "checkers": "1xA510@1.0",
+     "mode": "bogus"},
+    {"op": "eval", "workload": "mcf", "backend": "paraverser-full",
+     "mode": "bogus"},
+]
+
+
+@pytest.mark.parametrize("payload", BAD_WIRE_PAYLOADS)
+def test_bad_payloads_fail_decoding_with_one_line(payload):
+    decode = (protocol.campaign_from_wire if payload["op"] == "campaign"
+              else protocol.request_from_wire)
+    with pytest.raises(ProtocolError) as caught:
+        decode(dict(payload, v=protocol.PROTOCOL_VERSION))
+    assert "\n" not in str(caught.value)
+
+
+def test_eval_validation_parses_checkers_and_mode():
+    with pytest.raises(ProtocolError, match="unknown core class"):
+        EvalRequest(workload="mcf", checkers="1xM1@3.0").validate()
+    with pytest.raises(ProtocolError, match="bad checker spec"):
+        EvalRequest(workload="mcf", checkers="A510").validate()
+    with pytest.raises(ProtocolError, match="bogus"):
+        EvalRequest(workload="mcf", checkers="1xA510@1.0",
+                    mode="bogus").validate()
+    EvalRequest(workload="mcf", checkers="2xX2@1.5,1xA510@2.0",
+                mode="sampling").validate()
+

@@ -24,9 +24,12 @@ from repro.serve.protocol import (
     STATUS_OK,
     STATUS_SHED,
     STATUS_TIMEOUT,
+    decode_message,
+    encode_message,
 )
 from repro.serve.service import EvalService
 from repro.serve.workers import WorkerPool, evaluate_specs
+from tests.test_serve_protocol import BAD_WIRE_PAYLOADS
 
 BUDGET = 4000
 SEED = 7
@@ -166,6 +169,35 @@ class TestServiceBehaviour:
         assert bad_backend.status == STATUS_ERROR
         assert "quantum-lockstep" in bad_backend.error
         assert pool.calls == 0  # nothing reached the pool
+
+    def test_bad_specs_answer_error_before_admission(self):
+        pool = FakePool()
+
+        async def scenario(service):
+            return await _raw_round_trips(service.host, service.port,
+                                          BAD_WIRE_PAYLOADS)
+
+        replies = asyncio.run(_with_service(pool, scenario))
+        for i, reply in enumerate(replies):
+            assert reply["status"] == STATUS_ERROR
+            assert reply["request_id"] == f"bad{i}"
+            assert "\n" not in reply["error"]
+        assert pool.calls == 0  # nothing reached the pool
+
+
+async def _raw_round_trips(host, port, payloads):
+    """Send wire payloads as-is (no client-side validation), in turn."""
+    reader, writer = await asyncio.open_connection(host, port)
+    replies = []
+    try:
+        for i, payload in enumerate(payloads):
+            writer.write(encode_message(dict(payload, request_id=f"bad{i}")))
+            await writer.drain()
+            replies.append(decode_message(await reader.readline()))
+    finally:
+        writer.close()
+        await writer.wait_closed()
+    return replies
 
 
 # -- end-to-end over localhost ---------------------------------------------
