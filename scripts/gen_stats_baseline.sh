@@ -3,7 +3,7 @@
 # compares against (see .github/workflows/ci.yml).  Run from the repo
 # root after an intentional change to simulated statistics.
 set -e
-PYTHONPATH=src python -m repro.cli run -w mcf -n 20000 --stage-jobs 2 \
+PYTHONPATH=src python -m repro.cli run -w mcf -n 20000 \
   --stats-json tests/golden/stats_smoke.json
 # Campaign coverage baseline: trial outcomes are a pure function of
 # (spec, trial), so these leaves are deterministic across hosts and

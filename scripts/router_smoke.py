@@ -50,9 +50,14 @@ EVALS = [
 
 
 def _spawn(argv: list[str], tag: str) -> tuple[subprocess.Popen, str, int]:
-    """Start a subprocess, parse its listen line, keep stdout drained."""
+    """Start a subprocess, parse its listen line, keep stdout drained.
+
+    Each process leads its own process group, so :func:`_stop` also
+    reaches the pool workers a serve process forks.
+    """
     process = subprocess.Popen(argv, stdout=subprocess.PIPE,
-                               stderr=subprocess.STDOUT, text=True)
+                               stderr=subprocess.STDOUT, text=True,
+                               start_new_session=True)
     assert process.stdout is not None
     host = port = None
     deadline = time.monotonic() + 120
@@ -78,13 +83,25 @@ def _spawn(argv: list[str], tag: str) -> tuple[subprocess.Popen, str, int]:
 
 
 def _stop(process: subprocess.Popen, sig: int = signal.SIGTERM) -> None:
-    if process.poll() is None:
-        process.send_signal(sig)
+    """Signal the process's group, wait for it, then kill what is left.
+
+    The group signal also reaps pool workers orphaned when the kill leg
+    SIGKILLed their serve parent.
+    """
+    _signal_group(process, sig)
     try:
         process.wait(timeout=30)
     except subprocess.TimeoutExpired:
         process.kill()
         process.wait()
+    _signal_group(process, signal.SIGKILL)
+
+
+def _signal_group(process: subprocess.Popen, sig: int) -> None:
+    try:
+        os.killpg(process.pid, sig)
+    except ProcessLookupError:
+        pass
 
 
 def _direct_eval_row(workload: str, backend_name: str) -> dict:

@@ -15,7 +15,9 @@ a hung event loop fails fast instead of stalling CI.
 from __future__ import annotations
 
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -44,7 +46,8 @@ def main() -> int:
         [sys.executable, "-m", "repro.cli", "serve",
          "--port", "0", "--workers", "2", "--batch-window-ms", "300",
          "--trace-cache", trace_dir],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        start_new_session=True)
     try:
         host = port = None
         deadline = time.monotonic() + 60
@@ -83,11 +86,22 @@ def main() -> int:
               f"requests served: {serve['requests_served']}")
         return 0
     finally:
-        server.terminate()
+        # Signal the server's whole process group so its pool workers
+        # go with it, then kill whatever outlived the server.
+        _signal_group(server, signal.SIGTERM)
         try:
             server.wait(timeout=15)
         except subprocess.TimeoutExpired:
             server.kill()
+            server.wait()
+        _signal_group(server, signal.SIGKILL)
+
+
+def _signal_group(process: subprocess.Popen, sig: int) -> None:
+    try:
+        os.killpg(process.pid, sig)
+    except ProcessLookupError:
+        pass
 
 
 if __name__ == "__main__":

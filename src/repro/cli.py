@@ -22,7 +22,6 @@ Installed as ``paraverser`` (see pyproject.toml)::
     paraverser eval -w mcf --backend paraverser-full  # query a server
     paraverser stats-diff old.json new.json      # flag stats regressions
     paraverser cache info --dir ~/.pvtraces      # trace-cache entry counts
-    paraverser cache migrate                     # legacy JSON -> binary
 """
 
 from __future__ import annotations
@@ -67,10 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="print a gem5-style statistics dump")
     run.add_argument("--stats-json", metavar="PATH",
                      help="write the run's full statistics tree as JSON")
-    run.add_argument("--stage-jobs", type=int, default=None,
-                     help="stage-graph worker threads for this run "
-                          "(default: REPRO_STAGE_JOBS or 1 = serial; "
-                          "0 = all CPUs)")
     run.add_argument("--profile", action="store_true",
                      help="print a per-stage wall-time table after the run")
     run.add_argument("--backend", metavar="NAME",
@@ -296,10 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     figures.add_argument("-j", "--jobs", type=int, default=None,
                          help="worker processes for config sweeps "
                               "(default: REPRO_JOBS or 1; 0 = all CPUs)")
-    figures.add_argument("--stage-jobs", type=int, default=None,
-                         help="stage-graph threads inside each run "
-                              "(default: REPRO_STAGE_JOBS or 1; "
-                              "0 = all CPUs)")
 
     serve = sub.add_parser(
         "serve", help="run the async batched evaluation service")
@@ -394,10 +385,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cache = sub.add_parser(
         "cache", help="inspect or maintain the persistent trace cache")
-    cache.add_argument("action", choices=["info", "purge", "migrate"],
+    cache.add_argument("action", choices=["info", "purge"],
                        help="info: entry/byte counts; purge: delete all "
-                            "entries; migrate: rewrite legacy JSON "
-                            "entries in the compressed binary format")
+                            "entries")
     cache.add_argument("--dir", dest="directory", metavar="DIR",
                        default=None,
                        help="cache directory (default: REPRO_TRACE_CACHE)")
@@ -420,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _print_stage_profile(stats) -> None:
-    """``run --profile``: per-stage wall times + executor occupancy."""
+    """``run --profile``: per-stage wall times + the whole graph walk."""
     pipeline = stats.get("pipeline")
     if pipeline is None:
         print("stage profile:     n/a (no pipeline stats)")
@@ -438,10 +428,7 @@ def _print_stage_profile(stats) -> None:
     if executor is not None:
         flat = executor.flatten()
         print(f"{'executor':12s} {flat.get('wall_time_ms', 0.0):10.2f}  "
-              f"(stage-jobs={int(flat.get('stage_jobs', 1))}, "
-              f"overlap={flat.get('overlap', 0.0):.2f}, "
-              f"occupancy={flat.get('occupancy', 0.0):.2f}, "
-              f"peak-ready={int(flat.get('queue_depth_max', 0))})")
+              f"({int(flat.get('stages_run', 0))} stages, serial)")
 
 
 def _write_stats_json(stats, path: str) -> None:
@@ -497,7 +484,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         sampling_rate=args.sampling_rate,
         seed=args.seed,
     )
-    system = ParaVerserSystem(config, stage_jobs=args.stage_jobs)
+    system = ParaVerserSystem(config)
     result = system.run(program, max_instructions=args.instructions)
     energy = energy_report(result, config.main)
     print(f"workload:          {result.workload}")
@@ -1048,8 +1035,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
     if args.jobs is not None:
         # Propagate so helper runners creating their own caches agree.
         os.environ["REPRO_JOBS"] = str(args.jobs)
-    if args.stage_jobs is not None:
-        os.environ["REPRO_STAGE_JOBS"] = str(args.stage_jobs)
     cache = WorkloadCache()
     try:
         for name in names:
@@ -1291,16 +1276,10 @@ def cmd_cache(args: argparse.Namespace) -> int:
     if args.action == "purge":
         print(f"purged entries:    {tc.purge()}")
         return 0
-    if args.action == "migrate":
-        print(f"migrated entries:  {tc.migrate()}")
     info = tc.info()
     print(f"directory:         {info['directory']}")
     print(f"entries:           {info['entries']} "
           f"({info['total_bytes'] / 1024:.1f} KiB)")
-    print(f"  binary (.pvtc):  {info['current_entries']} "
-          f"({info['current_bytes'] / 1024:.1f} KiB)")
-    print(f"  legacy (.json):  {info['legacy_entries']} "
-          f"({info['legacy_bytes'] / 1024:.1f} KiB)")
     return 0
 
 

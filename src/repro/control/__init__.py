@@ -8,8 +8,8 @@ splits along the loop:
 * :mod:`repro.control.policy` — observation/action types, the
   watermark-threshold and ED2P-budget policies, fleet-scale energy
   accounting, and the :func:`make_controller` spec factory;
-* :mod:`repro.control.roles` — the OS core-role scheduler (absorbed
-  from ``repro.core.scheduler``) and its policy adapter;
+* :mod:`repro.control.roles` — the OS core-role scheduler and its
+  policy adapter;
 * :mod:`repro.control.loop` — the dwell-hysteresis
   :class:`Controller` wrapper and ``control.*``/``power.*`` stats;
 * :mod:`repro.control.bench` — the diurnal frontier bench.

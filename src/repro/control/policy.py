@@ -25,12 +25,11 @@ Two operating-point ladders, matching the paper's Fig. 1 spectrum:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Protocol
 
 from repro.cpu.config import CoreInstance, CoreKind
-from repro.cpu.presets import CORE_CLASSES
+from repro.cpu.presets import CORE_CLASSES, parse_checker_groups
 from repro.fleet.server import (
     IN_ORDER_EFFICIENCY,
     MAIN_THROUGHPUT,
@@ -41,8 +40,6 @@ from repro.power.energy import dynamic_energy_nj, static_energy_nj
 
 #: The big core every fleet server runs (Table I), pinned at 3 GHz.
 _MAIN = CoreInstance(config=CORE_CLASSES["X2"], freq_ghz=3.0)
-
-_CHECKER_SPEC = re.compile(r"^(\d+)x([A-Za-z0-9]+)@([\d.]+)$")
 
 
 @dataclass(frozen=True)
@@ -112,19 +109,12 @@ def fleet_energy_nj(busy_s: float, checked_s: float,
     if checked_s <= 0.0 or checkers.strip().lower() == "none":
         return main_nj, 0.0
     groups = []  # (count, config, instance, throughput inst/ns)
-    for part in checkers.split(","):
-        match = _CHECKER_SPEC.match(part.strip())
-        if not match:
-            raise ValueError(
-                f"bad checker spec {part!r}; expected e.g. 2xA510@2.0")
-        count, name, freq = match.groups()
-        config = CORE_CLASSES[name]
+    for count, config, freq in parse_checker_groups(checkers):
         efficiency = 1.0 if config.kind == CoreKind.OUT_OF_ORDER \
             else IN_ORDER_EFFICIENCY
-        instance = CoreInstance(config=config, freq_ghz=float(freq))
-        groups.append((int(count), config, instance,
-                       int(count) * config.width * float(freq)
-                       * efficiency))
+        instance = CoreInstance(config=config, freq_ghz=freq)
+        groups.append((count, config, instance,
+                       count * config.width * freq * efficiency))
     pool_rate = sum(g[3] for g in groups)
     checked_inst = checked_s * 1e9 * MAIN_THROUGHPUT
     replay_ns = checked_inst / pool_rate if pool_rate else 0.0

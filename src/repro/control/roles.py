@@ -15,9 +15,7 @@ so there is no starvation).  The paper's operational claims:
 and :class:`SchedulerPolicy` adapts it to the fleet control plane: each
 epoch's observed utilisation becomes the demand the scheduler plans
 against, and the plan's spare-core arithmetic becomes the next epoch's
-(mode, checker pool) operating point.  This module absorbed
-``repro.core.scheduler`` (which now re-exports it) when the control
-plane grew from an offline demand-trace study into the closed loop.
+(mode, checker pool) operating point.
 """
 
 from __future__ import annotations

@@ -68,8 +68,6 @@ __all__ = [
     "CoreRecord",
     "HealthMonitor",
     "PreparedRun",
-    "EpochPlan",
-    "PoolCore",
     "RecoverableSystem",
     "RecoveredRun",
     "RecoveryEvent",
@@ -101,9 +99,6 @@ __all__ = [
     "RecordKind",
     "RegisterCheckpointUnit",
     "ReplayDetection",
-    "Role",
-    "RoleScheduler",
-    "ScheduleOutcome",
     "Segment",
     "SegmentBuilder",
     "SegmentSchedule",
@@ -120,18 +115,3 @@ __all__ = [
     "replay_vote",
     "segment_finish_time",
 ]
-
-#: Scheduler names now live in :mod:`repro.control.roles`; resolved
-#: lazily (PEP 562) so importing :mod:`repro.core` does not pull the
-#: whole control plane in (and cannot cycle through it).
-_MOVED_TO_CONTROL = ("EpochPlan", "PoolCore", "Role", "RoleScheduler",
-                     "ScheduleOutcome")
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_CONTROL:
-        from repro.control import roles
-
-        return getattr(roles, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,6 @@ self-check.
 from __future__ import annotations
 
 from repro.core.counter import Segment
-from repro.core.hashmode import DIGEST_BYTES
 from repro.core.simconfig import CheckMode, ParaVerserConfig
 from repro.cpu.functional import RunResult
 from repro.cpu.timing import TimingResult
@@ -34,16 +33,17 @@ from repro.pipeline.artifacts import (
     SystemResult,
 )
 from repro.pipeline.context import SimContext
-from repro.pipeline.executor import GraphExecutor
-from repro.pipeline.graph import RUN_GRAPH
+from repro.pipeline.graph import (
+    RUN_GRAPH,
+    check_stage,
+    timing_stage,
+    trace_stage,
+)
 from repro.pipeline.noc import estimate_traffic
-from repro.pipeline.report import finalize
+from repro.pipeline.report import assemble, run_schedule
 from repro.pipeline.timing import (
     BASELINE_GRID,
-    baseline_timing,
     build_uncore,
-    checker_durations,
-    grid_time_at,
     main_timing,
     warm_addresses,
 )
@@ -60,25 +60,18 @@ __all__ = [
     "warm_addresses",
 ]
 
-#: Historical alias; the implementation lives in the timing stage.
-_grid_time_at = grid_time_at
-
 
 class ParaVerserSystem:
     """Runs a workload under ParaVerser checking and reports overheads."""
 
     def __init__(self, config: ParaVerserConfig,
-                 layout: TileLayout | None = None,
-                 stage_jobs: int | None = None) -> None:
+                 layout: TileLayout | None = None) -> None:
         if not config.checkers:
             raise ValueError("at least one checker core is required")
         self.config = config
         self.ctx = SimContext.create(config, layout)
         self.layout = self.ctx.layout
         self.traffic_model = self.ctx.traffic_model
-        #: Stage-graph worker threads for :meth:`run` (None = the
-        #: REPRO_STAGE_JOBS default; <=1 = the serial pipeline).
-        self.stage_jobs = stage_jobs
 
     # -- functional stage --------------------------------------------------
 
@@ -118,43 +111,11 @@ class ParaVerserSystem:
         baseline: TimingResult | None = None,
     ) -> PreparedRun:
         """Functional run, segmentation, baseline and checker timings."""
-        ctx = self.ctx
-        config = self.config
-        with ctx.stage_timer("trace"):
-            run = run_result or run_functional(ctx, program, max_instructions)
-            segments = segment_trace(ctx, run, forced_boundaries,
-                                     boundary_checkpoints)
-        boundaries = [seg.end for seg in segments]
-
-        with ctx.stage_timer("timing"):
-            # Baseline timing (no checking, demand-traffic-only NoC
-            # effects), against a fixed instruction grid so the measured
-            # window can be aligned with any configuration's segment
-            # boundaries — and so one baseline can be cached across
-            # configurations.
-            if baseline is None:
-                baseline = baseline_timing(ctx, run)
-            # Checked-run timing, first pass (no NoC penalty yet), then
-            # checker timing per distinct instance class.
-            checked_pass1 = main_timing(config, run, boundaries, 0.0)
-            durations_by_class, checker_llc = checker_durations(
-                ctx, run, boundaries)
-
-        lsl_bytes = sum(seg.lines for seg in segments) * 64
-        if config.hash_mode:
-            lsl_bytes += len(segments) * DIGEST_BYTES
-
-        return PreparedRun(
-            system=self,
-            run=run,
-            segments=segments,
-            boundaries=boundaries,
-            baseline=baseline,
-            checked_pass1=checked_pass1,
-            durations_by_class=durations_by_class,
-            checker_llc=checker_llc,
-            lsl_bytes=int(lsl_bytes),
-        )
+        request = RunRequest(program, max_instructions, run_result,
+                             forced_boundaries, boundary_checkpoints,
+                             baseline)
+        run, segments = trace_stage(self.ctx, request)
+        return timing_stage(self, request, run, segments)
 
     def estimate_traffic(self, prepared: PreparedRun) -> MainTraffic:
         """First-pass traffic contribution (coverage-scaled LSL bytes)."""
@@ -164,8 +125,11 @@ class ParaVerserSystem:
     def finalize(self, prepared: PreparedRun, extra_llc: float,
                  push_latency: float, verify: bool = True) -> SystemResult:
         """Final timing + schedule with NoC effects applied."""
-        return finalize(self.ctx, prepared, extra_llc, push_latency,
-                        verify, config_label=self.config_label())
+        scheduled = run_schedule(self.ctx, prepared, extra_llc, push_latency)
+        verify_results = check_stage(self.ctx, prepared.run,
+                                     prepared.segments, verify)
+        return assemble(self.ctx, prepared, scheduled, verify_results,
+                        extra_llc, config_label=self.config_label())
 
     def run(
         self,
@@ -178,22 +142,15 @@ class ParaVerserSystem:
     ) -> SystemResult:
         """Simulate the workload under checking and report overheads.
 
-        Executes the declared stage graph (:data:`~repro.pipeline.graph.
-        RUN_GRAPH`): serially with ``stage_jobs <= 1``, otherwise with
-        independent stages overlapped on a bounded thread pool.  Output
-        is bit-identical either way.
+        Walks the declared stage graph (:data:`~repro.pipeline.graph.
+        RUN_GRAPH`) in order; the result equals the split-phase
+        ``prepare → estimate_traffic → finalize`` path, which calls the
+        same stage bodies.
         """
-        request = RunRequest(
-            program=program,
-            max_instructions=max_instructions,
-            run_result=run_result,
-            forced_boundaries=forced_boundaries,
-            boundary_checkpoints=boundary_checkpoints,
-            baseline=baseline,
-        )
-        executor = GraphExecutor(self.stage_jobs)
-        artifacts = executor.execute(RUN_GRAPH, self, {"request": request})
-        return artifacts["result"]
+        request = RunRequest(program, max_instructions, run_result,
+                             forced_boundaries, boundary_checkpoints,
+                             baseline)
+        return RUN_GRAPH.run(self, {"request": request})["result"]
 
     def config_label(self) -> str:
         checkers: dict[str, int] = {}

@@ -178,9 +178,15 @@ class CheckerSpecError(argparse.ArgumentTypeError, ValueError):
     """
 
 
-def parse_checkers(spec: str) -> list[CoreInstance]:
-    """Parse ``"4xA510@2.0,1xX2@3.0"`` into core instances."""
-    instances: list[CoreInstance] = []
+def parse_checker_groups(spec: str) -> list[tuple[int, CoreConfig, float]]:
+    """Parse ``"4xA510@2.0,1xX2@3.0"`` into ``(count, class, GHz)`` groups.
+
+    The one parser of the checker-pool syntax: :func:`parse_checkers`
+    expands the groups into core instances, and the fleet and control
+    models price them per group.  Callers that accept ``"none"`` handle
+    it before calling.
+    """
+    groups: list[tuple[int, CoreConfig, float]] = []
     for part in spec.split(","):
         match = _CHECKER_SPEC.match(part.strip())
         if not match:
@@ -193,10 +199,18 @@ def parse_checkers(spec: str) -> list[CoreInstance]:
             raise CheckerSpecError(
                 f"unknown core class {name!r}; known: {sorted(CORE_CLASSES)}"
             )
-        if len(instances) + int(count) > MAX_CHECKERS:
+        groups.append((int(count), config, float(freq)))
+    return groups
+
+
+def parse_checkers(spec: str) -> list[CoreInstance]:
+    """Parse ``"4xA510@2.0,1xX2@3.0"`` into core instances."""
+    instances: list[CoreInstance] = []
+    for count, config, freq in parse_checker_groups(spec):
+        if len(instances) + count > MAX_CHECKERS:
             raise CheckerSpecError(
                 f"checker pool {spec!r} exceeds {MAX_CHECKERS} cores")
-        instances.extend([CoreInstance(config, float(freq))] * int(count))
+        instances.extend([CoreInstance(config, freq)] * count)
     if not instances:
         raise CheckerSpecError("empty checker specification")
     return instances

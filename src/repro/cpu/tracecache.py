@@ -7,17 +7,14 @@ the run with :mod:`repro.cpu.traceio` and keying it on those inputs.
 
 The key also folds in every version that could silently change the
 trace semantics: the cache's own schema version, the ``traceio``
-*semantics* version (container-layout changes alone keep old entries
-valid — the loader sniffs the generation per file), and a fingerprint
-of the ISA opcode set.  Bumping any of them invalidates old entries
-without needing a manual wipe — stale files are simply misses (and
-corrupt ones are deleted on sight).
+*semantics* version, and a fingerprint of the ISA opcode set.  Bumping
+any of them invalidates old entries without needing a manual wipe —
+stale files are simply misses (and corrupt ones are deleted on sight).
 
-New entries are zlib-compressed binary containers (``<key>.pvtc``);
-pre-existing JSON entries (``<key>.json``) keep hitting and are
-upgraded in place by :meth:`TraceCache.migrate` (also exposed as
-``paraverser cache migrate``).  The first byte disambiguates every
-generation: ``0x78`` zlib, ``P`` raw binary container, ``{`` JSON.
+Entries are zlib-compressed binary containers (``<key>.pvtc``); the
+first byte tells them from a raw container (``0x78`` zlib, ``P`` raw).
+Files of any other name — such as ``<key>.json`` entries of the retired
+JSON format — are never read, so their key is simply a miss.
 
 Enable it via ``REPRO_TRACE_CACHE=/path/to/dir`` (unset, empty or ``0``
 disables caching), or construct a :class:`TraceCache` explicitly.
@@ -42,11 +39,8 @@ logger = logging.getLogger("repro.cpu.tracecache")
 
 CACHE_VERSION = 1
 
-#: Suffix of current-generation entries (zlib-wrapped binary container).
+#: Suffix of cache entries (zlib-wrapped binary container).
 ENTRY_SUFFIX = ".pvtc"
-
-#: Suffix of legacy JSON entries (still readable, no longer written).
-LEGACY_SUFFIX = ".json"
 
 #: zlib level for new entries: trace columns are byte-repetitive, so
 #: the fastest setting already shrinks them severalfold; higher levels
@@ -79,7 +73,7 @@ def cache_key(profile: str, seed: int, max_instructions: int) -> str:
 
 
 def _decode_entry(data: bytes) -> RunResult:
-    """Decode one cache file of any generation."""
+    """Decode one cache file, compressed or raw."""
     if data[:1] == bytes([_ZLIB_FIRST_BYTE]):
         data = zlib.decompress(data)
     return traceio.run_from_bytes(data)
@@ -120,21 +114,6 @@ class TraceCache:
         key = cache_key(profile, seed, max_instructions)
         return self.directory / f"{key}{ENTRY_SUFFIX}"
 
-    def existing_path_for(self, profile: str, seed: int,
-                          max_instructions: int) -> Path | None:
-        """The on-disk entry serving this key right now, if any.
-
-        Current-generation entries shadow legacy JSON ones of the same
-        key.
-        """
-        path = self.path_for(profile, seed, max_instructions)
-        if path.is_file():
-            return path
-        legacy = path.with_suffix(LEGACY_SUFFIX)
-        if legacy.is_file():
-            return legacy
-        return None
-
     def get(self, profile: str, seed: int,
             max_instructions: int) -> RunResult | None:
         """Load a cached run, or None on miss.
@@ -142,8 +121,8 @@ class TraceCache:
         Unreadable or stale-format files count as misses and are removed
         so they cannot shadow a fresh entry forever.
         """
-        path = self.existing_path_for(profile, seed, max_instructions)
-        if path is None:
+        path = self.path_for(profile, seed, max_instructions)
+        if not path.is_file():
             self.stats.misses += 1
             return None
         try:
@@ -197,34 +176,21 @@ class TraceCache:
     # -- maintenance (the ``paraverser cache`` subcommand) ------------------
 
     def entries(self) -> list[Path]:
-        """Every cache entry on disk, current generation and legacy."""
+        """Every cache entry on disk."""
         if not self.directory.is_dir():
             return []
         return sorted(
             p for p in self.directory.iterdir()
-            if p.suffix in (ENTRY_SUFFIX, LEGACY_SUFFIX)
-            and not p.name.startswith(".")
+            if p.suffix == ENTRY_SUFFIX and not p.name.startswith(".")
         )
 
     def info(self) -> dict:
-        """Shape of the on-disk cache: entry counts and byte totals."""
-        current = legacy = current_bytes = legacy_bytes = 0
-        for path in self.entries():
-            size = path.stat().st_size
-            if path.suffix == ENTRY_SUFFIX:
-                current += 1
-                current_bytes += size
-            else:
-                legacy += 1
-                legacy_bytes += size
+        """Shape of the on-disk cache: entry count and byte total."""
+        entries = self.entries()
         return {
             "directory": str(self.directory),
-            "entries": current + legacy,
-            "current_entries": current,
-            "current_bytes": current_bytes,
-            "legacy_entries": legacy,
-            "legacy_bytes": legacy_bytes,
-            "total_bytes": current_bytes + legacy_bytes,
+            "entries": len(entries),
+            "total_bytes": sum(path.stat().st_size for path in entries),
         }
 
     def purge(self) -> int:
@@ -234,44 +200,6 @@ class TraceCache:
             path.unlink(missing_ok=True)
             removed += 1
         return removed
-
-    def migrate(self) -> int:
-        """Rewrite legacy JSON entries as compressed binary, in place.
-
-        Corrupt legacy files are dropped (same policy as :meth:`get`).
-        Returns the number of entries rewritten.
-        """
-        migrated = 0
-        for path in self.entries():
-            if path.suffix != LEGACY_SUFFIX:
-                continue
-            try:
-                run = _decode_entry(path.read_bytes())
-            except (ValueError, KeyError, TypeError, IndexError, EOFError,
-                    OSError, zlib.error) as exc:
-                logger.warning(
-                    "trace cache: dropping corrupt entry %s (%s: %s)",
-                    path, type(exc).__name__, exc)
-                path.unlink(missing_ok=True)
-                continue
-            target = path.with_suffix(ENTRY_SUFFIX)
-            blob = zlib.compress(traceio.run_to_bytes(run),
-                                 COMPRESSION_LEVEL)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.directory, prefix=f".{target.name}.", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                os.replace(tmp_name, target)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except FileNotFoundError:
-                    pass
-                raise
-            path.unlink(missing_ok=True)
-            migrated += 1
-        return migrated
 
 
 def env_trace_cache() -> TraceCache | None:

@@ -6,19 +6,15 @@ can be replayed through any number of timing/checking configurations
 later.  No pickle: the format is stable and safe to load from untrusted
 sources.
 
-Two generations coexist:
-
-* **v1** — portable JSON with one row per committed instruction.  Still
-  readable (old trace-cache entries and archived runs keep working) but
-  no longer written.
-* **v2** — a binary container: a 13-byte preamble (``PVTC`` magic,
-  format version, little-endian u64 header length), a JSON header with
-  everything human-scaled (program, checkpoints, counters, section
-  table), then the packed column bytes of the
-  :class:`~repro.cpu.columns.TraceColumns` planes back to back.  The
-  same column bytes ride inside :func:`run_to_payload` dicts, so the
-  pickled stage-handoff between sweep/serve workers shrinks with the
-  on-disk format.
+The format (v2) is a binary container: a 13-byte preamble (``PVTC``
+magic, format version, little-endian u64 header length), a JSON header
+with everything human-scaled (program, checkpoints, counters, section
+table), then the packed column bytes of the
+:class:`~repro.cpu.columns.TraceColumns` planes back to back.  The same
+column bytes ride inside :func:`run_to_payload` dicts, so the pickled
+stage-handoff between sweep/serve workers stays small.  Anything else —
+including the retired v1 JSON rows — is rejected with a
+:class:`ValueError`.
 
 ``TRACE_SEMANTICS_VERSION`` tracks the *meaning* of a trace (what the
 functional core records), separately from the container layout; cache
@@ -33,7 +29,7 @@ import struct
 from pathlib import Path
 
 from repro.cpu.columns import TraceColumns
-from repro.cpu.functional import RunResult, TraceEntry
+from repro.cpu.functional import RunResult
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import Program
 from repro.isa.registers import RegisterCheckpoint
@@ -115,19 +111,6 @@ def program_from_json(data: dict) -> Program:
     return program
 
 
-def _entry_from_row(row: list, program: Program) -> TraceEntry:
-    """Rebuild one v1 JSON trace row (legacy read path)."""
-    (pc, addr, addr2, size, loaded, loaded2, stored, nonrep,
-     taken, next_pc, bulk) = row
-    return TraceEntry(
-        pc=pc, instr=program.instructions[pc],
-        addr=addr, addr2=addr2, size=size,
-        loaded=loaded, loaded2=loaded2, stored=stored, nonrep=nonrep,
-        taken=bool(taken), next_pc=next_pc,
-        bulk=tuple(bulk) if bulk is not None else None,
-    )
-
-
 def _checkpoint_to_json(ckpt: RegisterCheckpoint) -> dict:
     return {"ints": list(ckpt.ints), "fps": list(ckpt.fps), "pc": ckpt.pc}
 
@@ -159,19 +142,14 @@ def run_to_payload(run: RunResult) -> dict:
 
 
 def run_from_payload(payload: dict) -> RunResult:
-    """Rebuild a run from :func:`run_to_payload` output (v1 or v2)."""
+    """Rebuild a run from :func:`run_to_payload` output."""
     version = payload.get("version")
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise ValueError(f"unsupported trace format version {version!r}")
     program = program_from_json(payload["program"])
-    if version == FORMAT_VERSION:
-        columns = TraceColumns.from_payload(payload["columns"], program)
-    else:
-        trace = [_entry_from_row(row, program) for row in payload["trace"]]
-        columns = TraceColumns.from_entries(trace, program)
     return RunResult(
         program=program,
-        columns=columns,
+        columns=TraceColumns.from_payload(payload["columns"], program),
         start_checkpoint=_checkpoint_from_json(payload["start_checkpoint"]),
         end_checkpoint=_checkpoint_from_json(payload["end_checkpoint"]),
         halted=payload["halted"],
@@ -202,11 +180,9 @@ def run_to_bytes(run: RunResult) -> bytes:
 
 
 def run_from_bytes(data: bytes) -> RunResult:
-    """Deserialize a run: v2 binary container or v1 JSON text."""
+    """Deserialize a run from the v2 binary container."""
     if not data.startswith(MAGIC):
-        # Legacy JSON files start with '{' (and can never start with
-        # the magic); same bytes, older layout.
-        return run_from_payload(json.loads(data.decode("utf-8")))
+        raise ValueError("not a binary trace container (bad magic)")
     if len(data) < _PREAMBLE.size:
         raise ValueError("binary trace truncated before header")
     _, version, header_len = _PREAMBLE.unpack_from(data)
@@ -245,5 +221,5 @@ def save_run(run: RunResult, path: str | Path) -> None:
 
 
 def load_run(path: str | Path) -> RunResult:
-    """Load a run saved by :func:`save_run` (either generation)."""
+    """Load a run saved by :func:`save_run`."""
     return run_from_bytes(Path(path).read_bytes())

@@ -25,12 +25,9 @@ simulator controls, so the model is exact, not time-stepped.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from repro.cpu.presets import CORE_CLASSES
-
-_CHECKER_SPEC = re.compile(r"^(\d+)x([A-Za-z0-9]+)@([\d.]+)$")
+from repro.cpu.presets import CORE_CLASSES, parse_checker_groups
 
 #: In-order cores sustain a lower fraction of their issue width than the
 #: big out-of-order core; 0.6 calibrates a single 2 GHz A510 to roughly
@@ -58,20 +55,10 @@ def checker_relative_rate(spec: str) -> float:
         # opportunistic mode where every request runs unchecked.
         return 0.0
     total = 0.0
-    for part in spec.split(","):
-        match = _CHECKER_SPEC.match(part.strip())
-        if not match:
-            raise ValueError(
-                f"bad checker spec {part!r}; expected e.g. 2xA510@2.0")
-        count, name, freq = match.groups()
-        config = CORE_CLASSES.get(name)
-        if config is None:
-            raise ValueError(
-                f"unknown core class {name!r}; known: "
-                f"{sorted(CORE_CLASSES)}")
+    for count, config, freq in parse_checker_groups(spec):
         efficiency = 1.0 if config.kind == CoreKind.OUT_OF_ORDER \
             else IN_ORDER_EFFICIENCY
-        total += int(count) * config.width * float(freq) * efficiency
+        total += count * config.width * freq * efficiency
     if total <= 0.0:
         raise ValueError(f"empty checker specification {spec!r}")
     return total / MAIN_THROUGHPUT

@@ -15,9 +15,6 @@ to the machine):
 * ``REPRO_TRIALS`` — fault-injection trials per benchmark (Fig. 8).
 * ``REPRO_JOBS`` — worker processes for config sweeps (default 1 =
   in-process; 0 or negative = one per CPU).
-* ``REPRO_STAGE_JOBS`` — stage-graph worker threads inside one run
-  (default 1 = serial pipeline; 0 or negative = one per CPU; see
-  :mod:`repro.pipeline.executor`).
 * ``REPRO_STAGE_OVERLAP`` — set to ``0`` to make sweeps submit whole
   benchmarks instead of per-(trace, cell) stage tasks (see
   :mod:`repro.harness.parallel`).
@@ -169,8 +166,8 @@ class WorkloadCache:
         """
         if name in self._cache:
             return "memory"
-        if self.trace_cache is not None and self.trace_cache.existing_path_for(
-                name, self.seed, self.max_instructions) is not None:
+        if self.trace_cache is not None and self.trace_cache.path_for(
+                name, self.seed, self.max_instructions).is_file():
             return "disk"
         return "computed"
 

@@ -31,7 +31,6 @@ HIGHER_IS_WORSE = ("wall_time_ms", "stall_ns", "slowdown", "latency_ns",
                    "latency_ms.p99", "latency_ms.p999", "latency_ms.max",
                    "stall_fraction", "sdc_events", "max_lag_ms",
                    "mean_detection_days", "checker_lag_ns.mean",
-                   "queue_depth_max",
                    # Shard-router health: forwards re-sent to another
                    # shard and shards marked down are failure events.
                    "re_dispatches", "re_dispatched_away", "mark_downs",
@@ -47,7 +46,7 @@ HIGHER_IS_WORSE = ("wall_time_ms", "stall_ns", "slowdown", "latency_ns",
                    "detection_latency_max", "mean_detection_latency")
 #: Key suffixes where a decrease beyond threshold is a regression.
 LOWER_IS_WORSE = ("occupancy", "pool_occupancy", "coverage", "hit_rate",
-                  "ipc", "overlap", "detection_rate_all",
+                  "ipc", "detection_rate_all",
                   "detection_rate_effective",
                   # Ring locality: requests landing off their primary
                   # owner lose cache heat.

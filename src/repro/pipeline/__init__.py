@@ -18,11 +18,13 @@ configuration, seeded RNG streams, and the run's statistics tree:
    allocation over the checker pool);
 6. **check/compare** — :func:`~repro.pipeline.check.verify_sample`
    (end-to-end replay self-check);
-7. **report** — :func:`~repro.pipeline.report.finalize` (measured-window
+7. **report** — :func:`~repro.pipeline.report.assemble` (measured-window
    cut, :class:`SystemResult` assembly, stats export).
 
-:class:`repro.core.system.ParaVerserSystem` is the thin orchestration
-shell over these stages and keeps the historical public API.
+:data:`~repro.pipeline.graph.RUN_GRAPH` declares the seven stages and
+walks them in order; :class:`repro.core.system.ParaVerserSystem` is the
+thin orchestration shell over the graph and keeps the historical public
+API.
 """
 
 from repro.pipeline.artifacts import (
@@ -35,11 +37,9 @@ from repro.pipeline.artifacts import (
 )
 from repro.pipeline.check import verify_sample
 from repro.pipeline.context import SimContext
-from repro.pipeline.executor import GraphExecutor, env_stage_jobs, run_graph
 from repro.pipeline.graph import RUN_GRAPH, StageGraph, StageNode
 from repro.pipeline.noc import estimate_traffic, noc_adjustment
-from repro.pipeline.report import assemble, export_run_stats, finalize, \
-    run_schedule
+from repro.pipeline.report import assemble, export_run_stats, run_schedule
 from repro.pipeline.schedule import make_slots, schedule_segments
 from repro.pipeline.timing import (
     BASELINE_GRID,
@@ -60,7 +60,6 @@ from repro.pipeline.trace import (
 
 __all__ = [
     "BASELINE_GRID",
-    "GraphExecutor",
     "PreparedRun",
     "RUN_GRAPH",
     "RunPlan",
@@ -77,17 +76,14 @@ __all__ = [
     "checker_durations",
     "checker_timing",
     "derive_end_checkpoint",
-    "env_stage_jobs",
     "estimate_traffic",
     "export_run_stats",
     "fill_checkpoints",
-    "finalize",
     "grid_time_at",
     "main_timing",
     "make_slots",
     "noc_adjustment",
     "run_functional",
-    "run_graph",
     "run_schedule",
     "schedule_segments",
     "segment_trace",

@@ -13,35 +13,22 @@ from repro.isa.program import Program
 
 
 def verify_sample(config: ParaVerserConfig, program: Program,
-                  segments: list[Segment],
-                  mapper=None) -> list[CheckResult]:
+                  segments: list[Segment]) -> list[CheckResult]:
     """Replay a sample of segments on a healthy checker.
 
     A healthy checker must never report an error (no false positives);
     a detection here means the logging/replay implementation itself
-    diverged, so it raises rather than returning quietly.
-
-    ``mapper`` is an optional order-preserving ``map(fn, items)`` used to
-    replay the sampled segments in parallel.  Each replay restores the
-    segment's start checkpoint into a fresh core, so segments are
-    independent by construction; the parallel path uses one
-    :class:`CheckerCore` per segment (the serial path shares one, which
-    only accumulates bookkeeping counters — the per-segment
-    :class:`CheckResult` is identical either way).
+    diverged, so it raises rather than returning quietly.  Each replay
+    restores the segment's start checkpoint, so one shared
+    :class:`CheckerCore` serves the whole sample.
     """
     count = min(config.verify_segments, len(segments))
     if count <= 0:
         return []
     stride = max(len(segments) // count, 1)
     sample = segments[::stride][:count]
-    if mapper is None:
-        checker = CheckerCore(program, hash_mode=config.hash_mode)
-        results = [checker.check_segment(seg) for seg in sample]
-    else:
-        results = mapper(
-            lambda seg: CheckerCore(
-                program, hash_mode=config.hash_mode).check_segment(seg),
-            sample)
+    checker = CheckerCore(program, hash_mode=config.hash_mode)
+    results = [checker.check_segment(seg) for seg in sample]
     for result in results:
         if result.detected:
             raise RuntimeError(

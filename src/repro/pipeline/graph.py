@@ -1,42 +1,52 @@
 """The declared stage graph of one ParaVerser run.
 
 Each pipeline stage is a :class:`StageNode`: a name, the typed artifact
-names it consumes and produces, and a function ``fn(system, artifacts,
-executor) -> dict``.  :data:`RUN_GRAPH` declares the seven stages of a
-run and their data dependencies explicitly, instead of the implicit call
-sequence ``prepare → estimate_traffic → finalize``:
+names it consumes and produces, and a function ``fn(system, artifacts)
+-> dict``.  :data:`RUN_GRAPH` declares the seven stages of a run and
+their data dependencies:
 
 .. code-block:: text
 
-    request ─ build ─ plan ─ trace ─ run/segments/boundaries ─ timing
-                                │                                 │
-                                │                              prepared
-                                │                            ┌────┴────┐
-                                └────────── check           noc        │
-                                              │              │         │
-                                              │          noc_terms     │
-                                              │              └── schedule
-                                              │                    │
-                                              └──── report ── scheduled
-                                                       │
-                                                    result
+    request ─ build ─ plan ─ trace ─ run/segments ─ timing
+                                │                      │
+                                │                   prepared
+                                │                 ┌────┴────┐
+                                └─── check       noc        │
+                                       │          │         │
+                                       │      noc_terms     │
+                                       │          └── schedule
+                                       │                 │
+                                       └─── report ── scheduled
+                                              │
+                                            result
 
-``check`` depends only on the functional segments, so with a parallel
-:class:`~repro.pipeline.executor.GraphExecutor` it overlaps the whole
-noc → schedule chain.  Every stage function calls the same pipeline
-helpers with the same :meth:`~repro.pipeline.context.SimContext.stage_timer`
-accounting as the historical serial path, so ``pipeline.<stage>.*``
-stats are identical between graph and prepare/finalize execution.
+:meth:`StageGraph.run` walks the nodes serially in declared order: the
+stages are CPU-bound Python sharing one interpreter lock, so threads
+over them would not overlap.  The graph names the stages, checks their
+wiring at construction, and times the walk.
+
+Every stage has one body.  The graph nodes and the split-phase
+``prepare → estimate_traffic → finalize`` API of
+:class:`~repro.core.system.ParaVerserSystem` both call
+:func:`trace_stage`, :func:`timing_stage`,
+:func:`~repro.pipeline.report.run_schedule`, :func:`check_stage` and
+:func:`~repro.pipeline.report.assemble`, so the two paths cannot drift
+apart.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from repro.core.checker import CheckResult
+from repro.core.counter import Segment
 from repro.core.hashmode import DIGEST_BYTES
+from repro.cpu.functional import RunResult
 from repro.pipeline.artifacts import PreparedRun, RunPlan, RunRequest
 from repro.pipeline.check import verify_sample
+from repro.pipeline.context import SimContext
 from repro.pipeline.noc import estimate_traffic, noc_adjustment
 from repro.pipeline.report import assemble, run_schedule
 from repro.pipeline.timing import (
@@ -51,7 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
 
 #: Signature of a stage function: consumes the artifact store, returns
 #: a dict holding exactly the node's declared outputs.
-StageFn = Callable[["ParaVerserSystem", dict, object], dict]
+StageFn = Callable[["ParaVerserSystem", dict], dict]
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,7 @@ class StageNode:
 
 
 class StageGraph:
-    """A validated DAG of :class:`StageNode` over named artifacts."""
+    """Stage nodes in run order, each consuming only earlier artifacts."""
 
     def __init__(self, nodes: list[StageNode]) -> None:
         names = [node.name for node in nodes]
@@ -79,6 +89,14 @@ class StageGraph:
                         f"artifact {output!r} produced by both "
                         f"{producers[output]!r} and {node.name!r}")
                 producers[output] = node.name
+        declared: set[str] = set()
+        for node in nodes:
+            for name in node.inputs:
+                if name in producers and name not in declared:
+                    raise ValueError(
+                        f"stage {node.name!r} consumes {name!r} before "
+                        f"its producer {producers[name]!r} runs")
+            declared.update(node.outputs)
         self.nodes = list(nodes)
         self.producers = producers
         #: Artifacts no node produces; the caller supplies them.
@@ -86,89 +104,73 @@ class StageGraph:
             name for node in nodes for name in node.inputs
             if name not in producers
         }))
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        by_name = {node.name: node for node in self.nodes}
-        state: dict[str, int] = {}  # 0 visiting, 1 done
-
-        def visit(name: str, chain: tuple[str, ...]) -> None:
-            if state.get(name) == 1:
-                return
-            if state.get(name) == 0:
-                raise ValueError(
-                    f"stage graph cycle through {name!r}: {chain}")
-            state[name] = 0
-            node = by_name[name]
-            for artifact in node.inputs:
-                producer = self.producers.get(artifact)
-                if producer is not None:
-                    visit(producer, chain + (name,))
-            state[name] = 1
-
-        for node in self.nodes:
-            visit(node.name, ())
-
-    def ready(self, artifacts: dict, done: set[str]) -> list[StageNode]:
-        """Nodes whose inputs all exist and that have not yet run."""
-        return [
-            node for node in self.nodes
-            if node.name not in done
-            and all(name in artifacts for name in node.inputs)
-        ]
 
     def __len__(self) -> int:
         return len(self.nodes)
 
+    def run(self, system: "ParaVerserSystem",
+            initial: dict[str, object]) -> dict[str, object]:
+        """Run every node in declared order; returns the artifact store."""
+        missing = [name for name in self.external_inputs
+                   if name not in initial]
+        if missing:
+            raise ValueError(f"stage graph missing inputs {missing}")
+        artifacts = dict(initial)
+        started = time.perf_counter()
+        for node in self.nodes:
+            produced = node.fn(system, artifacts) or {}
+            absent = set(node.outputs) - set(produced)
+            if absent:
+                raise RuntimeError(
+                    f"stage {node.name!r} did not produce {sorted(absent)}")
+            for name in node.outputs:
+                artifacts[name] = produced[name]
+        stats = system.ctx.stats.group("pipeline").group(
+            "executor", "serial stage-graph walk")
+        stats.count("stages_run", len(self.nodes))
+        stats.scalar("wall_time_ms", (time.perf_counter() - started) * 1e3,
+                     "graph start-to-finish wall time")
+        return artifacts
 
-# -- the seven stage functions ----------------------------------------------
 
-def _stage_build(system: "ParaVerserSystem", art: dict, executor) -> dict:
-    """Stamp the validated request with the run's configuration identity."""
-    request: RunRequest = art["request"]
-    with system.ctx.stage_timer("build"):
-        plan = RunPlan(request=request,
-                       config_label=system.config_label())
-    return {"plan": plan}
+# -- the stage bodies ---------------------------------------------------------
 
-
-def _stage_trace(system: "ParaVerserSystem", art: dict, executor) -> dict:
+def trace_stage(ctx: SimContext,
+                request: RunRequest) -> tuple[RunResult, list[Segment]]:
     """Functional execution + segmentation (the RCU checkpoint pass)."""
-    ctx = system.ctx
-    request = art["plan"].request
     with ctx.stage_timer("trace"):
         run = request.run_result or run_functional(
             ctx, request.program, request.max_instructions)
         segments = segment_trace(ctx, run, request.forced_boundaries,
                                  request.boundary_checkpoints)
-    return {
-        "run": run,
-        "segments": segments,
-        "boundaries": [seg.end for seg in segments],
-    }
+    return run, segments
 
 
-def _stage_timing(system: "ParaVerserSystem", art: dict, executor) -> dict:
+def timing_stage(system: "ParaVerserSystem", request: RunRequest,
+                 run: RunResult, segments: list[Segment]) -> PreparedRun:
     """Baseline grid, checked pass 1, per-class checker durations."""
     ctx = system.ctx
     config = ctx.config
-    request = art["plan"].request
-    run = art["run"]
-    segments = art["segments"]
-    boundaries = art["boundaries"]
+    boundaries = [seg.end for seg in segments]
     with ctx.stage_timer("timing"):
+        # Baseline timing (no checking, demand-traffic-only NoC effects)
+        # runs against a fixed instruction grid, so the measured window
+        # aligns with any configuration's segment boundaries and one
+        # baseline can be cached across configurations.
         baseline = request.baseline
         if baseline is None:
             baseline = baseline_timing(ctx, run)
+        # Checked-run timing, first pass (no NoC penalty yet), then
+        # checker timing per distinct instance class.
         checked_pass1 = main_timing(config, run, boundaries, 0.0)
         durations_by_class, checker_llc = checker_durations(
-            ctx, run, boundaries, mapper=executor.map_ordered)
+            ctx, run, boundaries)
 
     lsl_bytes = sum(seg.lines for seg in segments) * 64
     if config.hash_mode:
         lsl_bytes += len(segments) * DIGEST_BYTES
 
-    return {"prepared": PreparedRun(
+    return PreparedRun(
         system=system,
         run=run,
         segments=segments,
@@ -178,54 +180,70 @@ def _stage_timing(system: "ParaVerserSystem", art: dict, executor) -> dict:
         durations_by_class=durations_by_class,
         checker_llc=checker_llc,
         lsl_bytes=int(lsl_bytes),
-    )}
+    )
 
 
-def _stage_noc(system: "ParaVerserSystem", art: dict, executor) -> dict:
+def check_stage(ctx: SimContext, run: RunResult, segments: list[Segment],
+                verify: bool) -> list[CheckResult]:
+    """End-to-end replay self-check on a healthy checker."""
+    with ctx.stage_timer("check"):
+        return verify_sample(ctx.config, run.program, segments) \
+            if verify else []
+
+
+# -- the seven graph nodes ----------------------------------------------------
+
+def _stage_build(system: "ParaVerserSystem", art: dict) -> dict:
+    """Stamp the request with the run's configuration identity."""
+    with system.ctx.stage_timer("build"):
+        return {"plan": RunPlan(request=art["request"],
+                                config_label=system.config_label())}
+
+
+def _stage_trace(system: "ParaVerserSystem", art: dict) -> dict:
+    run, segments = trace_stage(system.ctx, art["plan"].request)
+    return {"run": run, "segments": segments}
+
+
+def _stage_timing(system: "ParaVerserSystem", art: dict) -> dict:
+    return {"prepared": timing_stage(system, art["plan"].request, art["run"],
+                                     art["segments"])}
+
+
+def _stage_noc(system: "ParaVerserSystem", art: dict) -> dict:
     """M/M/1 mesh contention backpropagated into LLC/LSL latencies."""
     ctx = system.ctx
     with ctx.stage_timer("noc"):
         traffic = estimate_traffic(ctx, art["prepared"])
-        extra_llc, push_latency = noc_adjustment(ctx, traffic)
-    return {"noc_terms": (extra_llc, push_latency)}
+        return {"noc_terms": noc_adjustment(ctx, traffic)}
 
 
-def _stage_schedule(system: "ParaVerserSystem", art: dict, executor) -> dict:
-    """Final checked timing + discrete-event schedule over the pool."""
+def _stage_schedule(system: "ParaVerserSystem", art: dict) -> dict:
     extra_llc, push_latency = art["noc_terms"]
-    scheduled = run_schedule(system.ctx, art["prepared"], extra_llc,
-                             push_latency)
-    return {"scheduled": scheduled}
+    return {"scheduled": run_schedule(system.ctx, art["prepared"], extra_llc,
+                                      push_latency)}
 
 
-def _stage_check(system: "ParaVerserSystem", art: dict, executor) -> dict:
-    """End-to-end replay self-check; independent of the noc/schedule arm."""
-    ctx = system.ctx
-    request = art["plan"].request
-    with ctx.stage_timer("check"):
-        verify_results = verify_sample(
-            ctx.config, art["run"].program, art["segments"],
-            mapper=executor.map_ordered) if request.verify else []
-    return {"verify_results": verify_results}
+def _stage_check(system: "ParaVerserSystem", art: dict) -> dict:
+    return {"verify_results": check_stage(
+        system.ctx, art["run"], art["segments"],
+        art["plan"].request.verify)}
 
 
-def _stage_report(system: "ParaVerserSystem", art: dict, executor) -> dict:
-    """Measured-window cut, result assembly, stats export."""
+def _stage_report(system: "ParaVerserSystem", art: dict) -> dict:
     extra_llc, _push_latency = art["noc_terms"]
-    result = assemble(system.ctx, art["prepared"], art["scheduled"],
-                      art["verify_results"], extra_llc,
-                      config_label=art["plan"].config_label)
-    return {"result": result}
+    return {"result": assemble(system.ctx, art["prepared"], art["scheduled"],
+                               art["verify_results"], extra_llc,
+                               config_label=art["plan"].config_label)}
 
 
 #: The declared graph of one checked run.  ``request`` is the single
 #: external input; ``result`` is the terminal artifact.
 RUN_GRAPH = StageGraph([
     StageNode("build", ("request",), ("plan",), _stage_build),
-    StageNode("trace", ("plan",),
-              ("run", "segments", "boundaries"), _stage_trace),
-    StageNode("timing", ("plan", "run", "segments", "boundaries"),
-              ("prepared",), _stage_timing),
+    StageNode("trace", ("plan",), ("run", "segments"), _stage_trace),
+    StageNode("timing", ("plan", "run", "segments"), ("prepared",),
+              _stage_timing),
     StageNode("noc", ("prepared",), ("noc_terms",), _stage_noc),
     StageNode("schedule", ("prepared", "noc_terms"),
               ("scheduled",), _stage_schedule),
@@ -236,4 +254,11 @@ RUN_GRAPH = StageGraph([
               ("result",), _stage_report),
 ])
 
-__all__ = ["RUN_GRAPH", "StageGraph", "StageNode"]
+__all__ = [
+    "RUN_GRAPH",
+    "StageGraph",
+    "StageNode",
+    "check_stage",
+    "timing_stage",
+    "trace_stage",
+]

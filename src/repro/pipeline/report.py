@@ -2,8 +2,8 @@
 
 Re-times the checked main core with NoC effects applied, schedules the
 segments over the checker pool, cuts the cold warmup prefix from the
-measured window, runs the functional verification sample, and assembles
-the :class:`SystemResult` plus the run's observability tree.
+measured window, and assembles the :class:`SystemResult` plus the run's
+observability tree.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from repro.core.allocator import CheckerSlot
 from repro.core.checker import CheckResult
 from repro.obs import StatGroup
 from repro.pipeline.artifacts import PreparedRun, ScheduledRun, SystemResult
-from repro.pipeline.check import verify_sample
 from repro.pipeline.context import SimContext
 from repro.pipeline.schedule import make_slots, schedule_segments
 from repro.pipeline.timing import grid_time_at, main_timing
@@ -20,12 +19,7 @@ from repro.pipeline.timing import grid_time_at, main_timing
 
 def run_schedule(ctx: SimContext, prepared: PreparedRun, extra_llc: float,
                  push_latency: float) -> ScheduledRun:
-    """Re-time the checked main with NoC effects and schedule the pool.
-
-    A stage-graph node of its own so the (expensive) final timing +
-    schedule can overlap the verification sample, which depends only on
-    the functional segments.
-    """
+    """Re-time the checked main with NoC effects and schedule the pool."""
     config = ctx.config
     with ctx.stage_timer("timing"):
         checked = main_timing(config, prepared.run, prepared.boundaries,
@@ -104,19 +98,6 @@ def assemble(ctx: SimContext, prepared: PreparedRun,
     with ctx.stage_timer("report"):
         export_run_stats(ctx.stats, result)
     return result
-
-
-def finalize(ctx: SimContext, prepared: PreparedRun, extra_llc: float,
-             push_latency: float, verify: bool = True,
-             config_label: str = "") -> SystemResult:
-    """Final timing + schedule with NoC effects applied (serial path)."""
-    scheduled = run_schedule(ctx, prepared, extra_llc, push_latency)
-    with ctx.stage_timer("check"):
-        verify_results = verify_sample(
-            ctx.config, prepared.run.program, prepared.segments) \
-            if verify else []
-    return assemble(ctx, prepared, scheduled, verify_results, extra_llc,
-                    config_label)
 
 
 def export_run_stats(stats: StatGroup, result: SystemResult) -> None:

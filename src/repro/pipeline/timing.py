@@ -135,34 +135,22 @@ def baseline_timing(ctx: SimContext, run: RunResult) -> TimingResult:
 
 def checker_durations(
     ctx: SimContext, run: RunResult, boundaries: list[int],
-    mapper=None,
 ) -> tuple[dict[str, list[float]], int]:
     """Per-segment check durations for each distinct checker class.
 
-    ``mapper`` is an optional order-preserving ``map(fn, items)`` (the
-    stage-graph executor's ``map_ordered``) used to time the classes in
-    parallel.  Classes are the fan-out axis because each class's
-    simulation is self-contained: a fresh :class:`TimingModel` over a
-    fresh uncore, reading the shared trace.  Segments within one class
-    must NOT be chunked — the timing model carries microarchitectural
-    state (branch predictor, ROB, MSHRs, cache contents) across segment
-    boundaries, so splitting the trace would change the numbers.  The
-    merge is input-order (first-seen class order), so results are
-    bit-identical to the serial loop.
+    Each class replays the whole trace on one fresh
+    :class:`TimingModel`: segments within one class must NOT be timed
+    apart, because the model carries microarchitectural state (branch
+    predictor, ROB, MSHRs, cache contents) across segment boundaries.
     """
     config = ctx.config
     distinct: dict[str, CoreInstance] = {
         inst.label: inst for inst in config.checkers
     }
-
-    def time_class(item: tuple[str, CoreInstance]):
-        label, inst = item
-        return label, checker_timing(config, run, boundaries, inst)
-
-    timed = (mapper or _serial_map)(time_class, list(distinct.items()))
     durations_by_class: dict[str, list[float]] = {}
     checker_llc = 0
-    for label, timing in timed:
+    for label, inst in distinct.items():
+        timing = checker_timing(config, run, boundaries, inst)
         times = timing.boundary_times_ns()
         durations = [times[0]] + [
             times[i] - times[i - 1] for i in range(1, len(times))
@@ -170,7 +158,3 @@ def checker_durations(
         durations_by_class[label] = durations
         checker_llc = max(checker_llc, timing.llc_accesses)
     return durations_by_class, checker_llc
-
-
-def _serial_map(fn, items):
-    return [fn(item) for item in items]

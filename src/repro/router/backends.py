@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -54,20 +56,26 @@ class BackendLink:
         self._writer: asyncio.StreamWriter | None = None
         self._read_task: asyncio.Task | None = None
         self._waiters: dict[str, asyncio.Future] = {}
+        # Concurrent first requests must share one connection: a second
+        # open would start a second read loop on the same stream.
+        self._connect_lock = asyncio.Lock()
 
     async def _connect(self) -> None:
-        if self._writer is not None:
-            return
-        try:
-            self._reader, self._writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port,
-                                        limit=protocol.MAX_LINE_BYTES),
-                timeout=self.connect_timeout_s)
-        except (OSError, asyncio.TimeoutError) as exc:
-            raise BackendDown(
-                f"connect to {self.host}:{self.port} failed: {exc}") from exc
-        self._read_task = asyncio.create_task(
-            self._read_loop(), name=f"router-link-{self.host}:{self.port}")
+        async with self._connect_lock:
+            if self._writer is not None:
+                return
+            try:
+                self._reader, self._writer = await asyncio.wait_for(
+                    asyncio.open_connection(self.host, self.port,
+                                            limit=protocol.MAX_LINE_BYTES),
+                    timeout=self.connect_timeout_s)
+            except (OSError, asyncio.TimeoutError) as exc:
+                raise BackendDown(
+                    f"connect to {self.host}:{self.port} failed: "
+                    f"{exc}") from exc
+            self._read_task = asyncio.create_task(
+                self._read_loop(),
+                name=f"router-link-{self.host}:{self.port}")
 
     async def _read_loop(self) -> None:
         assert self._reader is not None
@@ -232,7 +240,9 @@ class BackendManager:
 
         Names are ``shard<i>`` — deterministic, so the ring lays out
         identically for every ``--shards N`` router regardless of which
-        ports the OS hands out.
+        ports the OS hands out.  Each shard leads its own process
+        group (a new session), so :meth:`stop_processes` can stop it
+        together with its forked pool workers.
         """
         added = []
         for index in range(count):
@@ -246,7 +256,8 @@ class BackendManager:
                 argv += extra_args
             process = subprocess.Popen(
                 argv, stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT, text=True)
+                stderr=subprocess.STDOUT, text=True,
+                start_new_session=True)
             host, port = self._wait_for_listen(process)
             self._drain_stdout(process)
             backend = Backend(name=f"shard{index}", host=host, port=port,
@@ -288,17 +299,32 @@ class BackendManager:
             await backend.link.close()
 
     def stop_processes(self, timeout_s: float = 15.0) -> None:
-        """Terminate (then kill) every backend spawned here."""
-        spawned = [b for b in self.backends.values()
+        """Terminate (then kill) every backend spawned here.
+
+        Signals go to each shard's whole process group, so its pool
+        workers stop with it — also those a SIGKILLed shard parent left
+        behind.  Group members still alive once the parent is reaped
+        are killed outright.
+        """
+        spawned = [b.process for b in self.backends.values()
                    if b.process is not None]
-        for backend in spawned:
-            backend.process.terminate()
-        for backend in spawned:
+        for process in spawned:
+            _signal_group(process, signal.SIGTERM)
+        for process in spawned:
             try:
-                backend.process.wait(timeout=timeout_s)
+                process.wait(timeout=timeout_s)
             except subprocess.TimeoutExpired:
-                backend.process.kill()
-                backend.process.wait()
+                _signal_group(process, signal.SIGKILL)
+                process.wait()
+            _signal_group(process, signal.SIGKILL)
+
+
+def _signal_group(process: subprocess.Popen, sig: int) -> None:
+    """Send ``sig`` to the process group ``process`` leads, if any is left."""
+    try:
+        os.killpg(process.pid, sig)
+    except ProcessLookupError:
+        pass
 
 
 # -- request-id supply for forwarded traffic ---------------------------------

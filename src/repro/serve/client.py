@@ -135,12 +135,16 @@ class AsyncEvalClient:
         self._waiters: dict[str, asyncio.Future] = {}
         self._ids = itertools.count(1)
         self._read_task: asyncio.Task | None = None
+        # Concurrent first requests must share one connection: a second
+        # open would start a second read loop on the same stream.
+        self._connect_lock = asyncio.Lock()
 
     async def connect(self) -> "AsyncEvalClient":
-        if self._writer is None:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port, limit=protocol.MAX_LINE_BYTES)
-            self._read_task = asyncio.create_task(self._read_loop())
+        async with self._connect_lock:
+            if self._writer is None:
+                self._reader, self._writer = await asyncio.open_connection(
+                    self.host, self.port, limit=protocol.MAX_LINE_BYTES)
+                self._read_task = asyncio.create_task(self._read_loop())
         return self
 
     async def close(self) -> None:

@@ -32,6 +32,17 @@ class TestParseCheckers:
         with pytest.raises(ValueError):
             parse_checkers("1xA510@9.9")
 
+    def test_groups_keep_count_class_and_frequency(self):
+        from repro.cpu.presets import A510, X2, parse_checker_groups
+
+        assert parse_checker_groups(" 2xX2@1.5, 1xA510@2.0") == [
+            (2, X2, 1.5), (1, A510, 2.0)]
+        # Zero-count groups parse; whether a pool may be empty is the
+        # caller's decision.
+        assert parse_checker_groups("0xA510@2.0") == [(0, A510, 2.0)]
+        with pytest.raises(ValueError, match="unknown core class 'M1'"):
+            parse_checker_groups("1xM1@3.0")
+
 
 class TestCommands:
     def test_workloads_lists_profiles(self, capsys):
@@ -53,6 +64,17 @@ class TestCommands:
         assert "slowdown" in out
         assert "coverage" in out
         assert "energy overhead" in out
+
+    def test_run_profile_prints_serial_stage_table(self, capsys):
+        code = main(["run", "-w", "exchange2", "-c", "1xA510@2.0",
+                     "-n", "6000", "--profile"])
+        assert code == 0
+        out = capsys.readouterr().out
+        table = out[out.index("-- stage profile --"):]
+        for stage in ("build", "trace", "timing", "noc", "schedule",
+                      "check", "report"):
+            assert f"\n{stage} " in table
+        assert "(7 stages, serial)" in table
 
     def test_run_opportunistic_mode(self, capsys):
         main(["run", "-w", "exchange2", "-c", "1xA510@0.5",
@@ -166,46 +188,6 @@ class TestCommands:
         assert main(["cache", "purge"]) == 0
         assert "purged entries:    1" in capsys.readouterr().out
         assert tc.info()["entries"] == 0
-
-    def test_cache_migrate(self, capsys, tmp_path):
-        import json
-
-        from repro.cpu import traceio
-        from repro.cpu.tracecache import TraceCache
-        from repro.harness.runner import WorkloadCache
-
-        tc = TraceCache(tmp_path)
-        run = WorkloadCache(max_instructions=4000, seed=7,
-                            trace_cache=None).get("exchange2").run
-        legacy = tc.path_for("exchange2", 7, 4000).with_suffix(".json")
-        legacy.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": 1,
-            "program": traceio.program_to_json(run.program),
-            "trace": [[e.pc, e.addr, e.addr2, e.size, e.loaded,
-                       e.loaded2, e.stored, e.nonrep,
-                       1 if e.taken else 0, e.next_pc,
-                       list(e.bulk) if e.bulk is not None else None]
-                      for e in run.trace],
-            "start_checkpoint": {
-                "ints": list(run.start_checkpoint.ints),
-                "fps": list(run.start_checkpoint.fps),
-                "pc": run.start_checkpoint.pc},
-            "end_checkpoint": {
-                "ints": list(run.end_checkpoint.ints),
-                "fps": list(run.end_checkpoint.fps),
-                "pc": run.end_checkpoint.pc},
-            "halted": run.halted,
-            "instructions": run.instructions,
-            "class_counts": run.class_counts,
-        }
-        legacy.write_text(json.dumps(payload))
-        assert main(["cache", "migrate", "--dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated entries:  1" in out
-        assert not legacy.exists()
-        hit = tc.get("exchange2", 7, 4000)
-        assert hit is not None and hit.columns == run.columns
 
     def test_fleet_prints_cell_table(self, capsys):
         code = main(["fleet", "--policies", "shortest", "--modes", "full",

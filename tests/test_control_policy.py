@@ -147,6 +147,13 @@ class TestEnergy:
         with pytest.raises(ValueError, match="bad checker spec"):
             fleet_energy_nj(1.0, 0.5, "A510")
 
+    def test_unknown_core_class_is_a_one_line_value_error(self):
+        with pytest.raises(ValueError, match="unknown core class 'M1'") \
+                as excinfo:
+            fleet_energy_nj(1.0, 0.5, "2xM1@3.0")
+        assert not isinstance(excinfo.value, KeyError)
+        assert "\n" not in str(excinfo.value)
+
     def test_slower_pool_burns_less_per_instruction(self):
         _, fast = fleet_energy_nj(1.0, 0.5, "4xA510@2.0")
         _, slow = fleet_energy_nj(1.0, 0.5, "4xA510@1.4")

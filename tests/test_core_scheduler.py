@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.scheduler import PoolCore, Role, RoleScheduler
+from repro.control.roles import PoolCore, Role, RoleScheduler
 from repro.cpu.config import CoreInstance
 from repro.cpu.presets import A510, X2
 

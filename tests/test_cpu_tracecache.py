@@ -82,17 +82,17 @@ def test_corrupt_entry_is_evicted(tmp_path, run_result, caplog):
 
 def test_stale_format_version_is_evicted(tmp_path, run_result):
     tc = TraceCache(tmp_path)
-    path = tc.path_for(BENCH, SEED, BUDGET).with_suffix(".json")
-    payload = traceio.run_to_payload(run_result)
-    payload = {"version": -1, "program": payload["program"]}
+    path = tc.path_for(BENCH, SEED, BUDGET)
+    data = bytearray(traceio.run_to_bytes(run_result))
+    data[4] = 99  # container version byte
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload))
+    path.write_bytes(bytes(data))
     assert tc.get(BENCH, SEED, BUDGET) is None
     assert not path.exists()
 
 
 def _legacy_entry_payload(run) -> dict:
-    """A v1 JSON cache entry, as the old writer produced it."""
+    """A v1 JSON cache entry, as the retired JSON-era writer produced it."""
     return {
         "version": 1,
         "program": traceio.program_to_json(run.program),
@@ -112,27 +112,30 @@ def _legacy_entry_payload(run) -> dict:
     }
 
 
-def test_legacy_json_entry_hits_and_migrates(tmp_path, run_result):
-    """Entries written by the JSON-era cache keep hitting; ``migrate``
-    rewrites them in the compressed binary format, bit-identically."""
+def test_legacy_json_entry_is_a_miss_and_recomputed(tmp_path, run_result):
+    """A JSON-era ``<key>.json`` entry is never read: its key misses,
+    the run is recomputed and published as a binary entry, and the
+    recomputed run equals a fresh functional execution."""
     tc = TraceCache(tmp_path)
-    path = tc.path_for(BENCH, SEED, BUDGET).with_suffix(".json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_legacy_entry_payload(run_result)))
+    legacy = tc.path_for(BENCH, SEED, BUDGET).with_suffix(".json")
+    legacy.parent.mkdir(parents=True, exist_ok=True)
+    # A would-be hit with a wrong trace: it must never be served.
+    payload = _legacy_entry_payload(run_result)
+    payload["instructions"] = 1
+    legacy.write_text(json.dumps(payload))
 
+    assert tc.get(BENCH, SEED, BUDGET) is None
+    assert tc.stats.misses == 1
+    assert tc.info()["entries"] == 0
+    cache = WorkloadCache(max_instructions=BUDGET, seed=SEED, trace_cache=tc)
+    assert cache.trace_source(BENCH) == "computed"
+    recomputed = cache.get(BENCH).run
+    assert recomputed.instructions == run_result.instructions
+    assert recomputed.columns == run_result.columns
+    assert tc.path_for(BENCH, SEED, BUDGET).is_file()
     hit = tc.get(BENCH, SEED, BUDGET)
-    assert hit is not None
-    assert hit.columns == run_result.columns
-    assert tc.info()["legacy_entries"] == 1
-
-    assert tc.migrate() == 1
-    assert not path.exists()
-    assert tc.path_for(BENCH, SEED, BUDGET).exists()
-    migrated = tc.get(BENCH, SEED, BUDGET)
-    assert migrated is not None
-    assert migrated.columns == run_result.columns
-    info = tc.info()
-    assert info["legacy_entries"] == 0 and info["current_entries"] == 1
+    assert hit is not None and hit.columns == run_result.columns
+    assert legacy.exists()  # never read, never rewritten
 
 
 def test_new_entry_shadows_legacy(tmp_path, run_result):
@@ -141,8 +144,6 @@ def test_new_entry_shadows_legacy(tmp_path, run_result):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("{not json")  # would be evicted if ever read
     tc.put(BENCH, SEED, BUDGET, run_result)
-    assert tc.existing_path_for(BENCH, SEED, BUDGET) \
-        == tc.path_for(BENCH, SEED, BUDGET)
     assert tc.get(BENCH, SEED, BUDGET) is not None
     assert path.exists()  # the shadowed legacy file was never touched
 

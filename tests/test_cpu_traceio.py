@@ -95,8 +95,8 @@ def test_format_is_binary_container(tmp_path, run_and_program):
         == len(data) - 13 - header_len
 
 
-def test_legacy_json_files_still_load(tmp_path, run_and_program):
-    """Files written by the v1 JSON writer keep loading bit-identically."""
+def test_legacy_json_files_are_rejected(tmp_path, run_and_program):
+    """Files of the retired v1 JSON writer fail to load, never misread."""
     _, _, run = run_and_program
     path = tmp_path / "run.json"
     legacy = {
@@ -117,10 +117,10 @@ def test_legacy_json_files_still_load(tmp_path, run_and_program):
         "class_counts": run.class_counts,
     }
     path.write_text(json.dumps(legacy))
-    restored = load_run(path)
-    assert restored.instructions == run.instructions
-    assert restored.end_checkpoint.matches(run.end_checkpoint)
-    assert restored.columns == run.columns
+    with pytest.raises(ValueError, match="not a binary trace container"):
+        load_run(path)
+    with pytest.raises(ValueError, match="unsupported trace format"):
+        traceio.run_from_payload(legacy)
 
 
 def test_version_check(tmp_path, run_and_program):

@@ -10,7 +10,6 @@ from repro.envutil import (
     parse_int,
 )
 from repro.harness.runner import env_instructions, env_jobs, env_trials
-from repro.pipeline.executor import env_stage_jobs
 
 
 def test_unset_returns_default(monkeypatch):
@@ -42,7 +41,6 @@ def test_bad_value_names_variable_and_value(monkeypatch):
     ("REPRO_JOBS", env_jobs),
     ("REPRO_TRIALS", env_trials),
     ("REPRO_INSTRUCTIONS", env_instructions),
-    ("REPRO_STAGE_JOBS", env_stage_jobs),
 ])
 def test_runner_knobs_fail_with_one_liner(monkeypatch, variable, parser):
     monkeypatch.setenv(variable, "20x")

@@ -1,18 +1,22 @@
-"""Stage-graph declaration, executor scheduling, and bit-identity.
+"""Stage-graph declaration, the serial walk, and one body per stage.
 
-The tentpole guarantee of the stage-graph engine is that parallel
-execution is an implementation detail: ``stage_jobs=N`` must be
-bit-identical to the serial pipeline.  These tests pin the graph's
-declared shape, the executor's failure modes, and that guarantee.
+The run graph names the seven stages of a checked run and walks them in
+declared order.  These tests pin the graph's declared shape, the
+construction-time wiring checks, the walk's failure modes, and that
+``ParaVerserSystem.run`` (the graph) and the split-phase
+``prepare → estimate_traffic → noc_adjustment → finalize`` path give
+equal results and equal stats trees.
 """
+
+import fnmatch
 
 import pytest
 
 from repro.core.system import CheckMode, ParaVerserSystem
+from repro.cpu.presets import parse_checkers
 from repro.harness.runner import make_config
-from repro.pipeline.check import verify_sample
-from repro.pipeline.executor import GraphExecutor, env_stage_jobs
 from repro.pipeline.graph import RUN_GRAPH, StageGraph, StageNode
+from repro.pipeline.noc import noc_adjustment
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
 
@@ -20,7 +24,7 @@ BUDGET = 6000
 SEED = 7
 
 
-def _nop(system, artifacts, executor):
+def _nop(system, artifacts):
     return {}
 
 
@@ -44,15 +48,17 @@ class TestRunGraph:
         assert RUN_GRAPH.producers["result"] == "report"
 
     def test_check_is_independent_of_noc_and_schedule(self):
-        """The overlap win: verify replay needs no timing artifacts."""
+        """Verify replay needs the functional segments, no timing."""
         check = next(n for n in RUN_GRAPH.nodes if n.name == "check")
         assert "noc_terms" not in check.inputs
         assert "scheduled" not in check.inputs
         assert "prepared" not in check.inputs
 
     def test_initially_only_build_is_ready(self):
-        ready = RUN_GRAPH.ready({"request": object()}, set())
-        assert [node.name for node in ready] == ["build"]
+        external = set(RUN_GRAPH.external_inputs)
+        ready = [node.name for node in RUN_GRAPH.nodes
+                 if set(node.inputs) <= external]
+        assert ready == ["build"]
 
 
 class TestStageGraphValidation:
@@ -65,55 +71,19 @@ class TestStageGraphValidation:
             StageGraph([_node("a", [], ["x"]), _node("b", [], ["x"])])
 
     def test_cycle_rejected(self):
-        with pytest.raises(ValueError, match="cycle"):
-            StageGraph([_node("a", ["y"], ["x"]),
-                        _node("b", ["x"], ["y"])])
+        for nodes in ([_node("a", ["y"], ["x"]), _node("b", ["x"], ["y"])],
+                      [_node("a", ["x"], ["x"])]):  # a self-loop
+            with pytest.raises(ValueError, match="before its producer"):
+                StageGraph(nodes)
 
-    def test_ready_respects_done_and_missing_inputs(self):
-        graph = StageGraph([_node("a", ["ext"], ["x"]),
-                            _node("b", ["x"], ["y"])])
-        assert graph.external_inputs == ("ext",)
-        ready = graph.ready({"ext": 1}, set())
-        assert [n.name for n in ready] == ["a"]
-        ready = graph.ready({"ext": 1, "x": 2}, {"a"})
-        assert [n.name for n in ready] == ["b"]
-        assert graph.ready({"ext": 1, "x": 2, "y": 3}, {"a", "b"}) == []
+    def test_input_declared_after_its_consumer_rejected(self):
+        with pytest.raises(ValueError, match="'b' consumes 'y' before"):
+            StageGraph([_node("a", ["ext"], ["x"]),
+                        _node("b", ["x", "y"], ["z"]),
+                        _node("c", ["x"], ["y"])])
 
 
-# -- executor ----------------------------------------------------------------
-
-class TestGraphExecutor:
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STAGE_JOBS", raising=False)
-        assert env_stage_jobs() == 1
-        monkeypatch.setenv("REPRO_STAGE_JOBS", "3")
-        assert env_stage_jobs() == 3
-        assert GraphExecutor().stage_jobs == 3
-        monkeypatch.setenv("REPRO_STAGE_JOBS", "0")
-        assert env_stage_jobs() >= 1
-
-    @pytest.mark.parametrize("stage_jobs", [1, 4])
-    def test_map_ordered_preserves_input_order(self, stage_jobs):
-        executor = GraphExecutor(stage_jobs)
-        items = list(range(31))
-        assert executor.map_ordered(lambda i: i * i, items) == \
-            [i * i for i in items]
-
-    def test_map_ordered_empty(self):
-        assert GraphExecutor(4).map_ordered(lambda i: i, []) == []
-
-    @pytest.mark.parametrize("stage_jobs", [1, 4])
-    def test_missing_output_raises(self, stage_jobs):
-        graph = StageGraph([_node("a", [], ["x"])])  # _nop returns {}
-        with pytest.raises(RuntimeError, match="did not produce"):
-            GraphExecutor(stage_jobs).execute(graph, _FakeSystem(), {})
-
-    @pytest.mark.parametrize("stage_jobs", [1, 4])
-    def test_stalled_graph_raises(self, stage_jobs):
-        graph = StageGraph([_node("a", ["never"], ["x"])])
-        with pytest.raises(RuntimeError, match="stalled"):
-            GraphExecutor(stage_jobs).execute(graph, _FakeSystem(), {})
-
+# -- the serial walk ---------------------------------------------------------
 
 class _FakeStats:
     def group(self, *args, **kwargs):
@@ -134,71 +104,76 @@ class _FakeSystem:
     ctx = _FakeCtx()
 
 
-# -- bit-identity ------------------------------------------------------------
+class TestStageGraphRun:
+    def test_runs_nodes_in_declared_order(self):
+        calls = []
+
+        def stage(name, value):
+            def fn(system, artifacts):
+                calls.append(name)
+                return {name.upper(): value(artifacts)}
+            return fn
+
+        graph = StageGraph([
+            StageNode("a", ("ext",), ("A",), stage("a", lambda s: s["ext"])),
+            StageNode("b", ("A",), ("B",), stage("b", lambda s: s["A"] + 1)),
+            StageNode("c", ("ext",), ("C",), stage("c", lambda s: 10)),
+        ])
+        artifacts = graph.run(_FakeSystem(), {"ext": 1})
+        assert calls == ["a", "b", "c"]
+        assert (artifacts["A"], artifacts["B"], artifacts["C"]) == (1, 2, 10)
+
+    def test_missing_output_raises(self):
+        graph = StageGraph([_node("a", [], ["x"])])  # _nop returns {}
+        with pytest.raises(RuntimeError, match="did not produce"):
+            graph.run(_FakeSystem(), {})
+
+    def test_missing_external_input_raises(self):
+        graph = StageGraph([_node("a", ["never"], ["x"])])
+        with pytest.raises(ValueError, match="missing inputs"):
+            graph.run(_FakeSystem(), {})
+
+
+# -- one body per stage ------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def program():
     return build_program(get_profile("xz"), seed=SEED)
 
 
-def _fingerprint(result):
-    return (
-        result.overhead_percent,
-        result.coverage,
-        result.segments,
-        result.stall_ns,
-        result.lsl_bytes,
-        result.noc_extra_llc_ns,
-        result.cut_reasons,
-        tuple(r.detected for r in result.verify_results),
-        result.main_timing.time_ns,
-        result.baseline_timing.time_ns,
-    )
-
-
-@pytest.mark.parametrize("mode", [CheckMode.FULL, CheckMode.OPPORTUNISTIC])
-def test_parallel_stages_bit_identical_to_serial(program, mode):
-    config = make_config(_pool(), mode)
-    serial = ParaVerserSystem(config, stage_jobs=1).run(
-        program, max_instructions=BUDGET)
-    pooled = ParaVerserSystem(config, stage_jobs=4).run(
-        program, max_instructions=BUDGET)
-    assert _fingerprint(pooled) == _fingerprint(serial)
-
-
-def _pool():
-    from repro.cpu.config import CoreInstance
-    from repro.cpu.presets import A510
-
-    return [CoreInstance(A510, 2.0), CoreInstance(A510, 2.0)]
-
-
 def test_executor_stats_published(program):
-    config = make_config(_pool())
-    result = ParaVerserSystem(config, stage_jobs=2).run(
-        program, max_instructions=BUDGET)
+    config = make_config(parse_checkers("2xA510@2.0"))
+    result = ParaVerserSystem(config).run(program, max_instructions=BUDGET)
     flat = result.stats.flatten()
-    assert flat["pipeline.executor.stage_jobs"] == 2.0
     assert flat["pipeline.executor.stages_run"] == 7
     assert flat["pipeline.executor.wall_time_ms"] > 0.0
-    assert flat["pipeline.executor.queue_depth_max"] >= 1.0
-    assert flat["pipeline.executor.overlap"] > 0.0
-    assert 0.0 < flat["pipeline.executor.occupancy"] <= 1.0
+    assert sorted(k for k in flat if k.startswith("pipeline.executor.")) \
+        == ["pipeline.executor.stages_run", "pipeline.executor.wall_time_ms"]
     for stage in ("build", "trace", "timing", "noc", "schedule", "check",
                   "report"):
         assert f"pipeline.{stage}.wall_time_ms" in flat
 
 
-def test_verify_sample_mapper_matches_serial(program):
-    config = make_config(_pool())
+def _simulated_leaves(result):
+    return {key: value for key, value in result.stats.flatten().items()
+            if not fnmatch.fnmatchcase(key, "pipeline.*")}
+
+
+@pytest.mark.parametrize("mode", [CheckMode.FULL, CheckMode.OPPORTUNISTIC])
+def test_run_equals_split_phase(mode):
+    """The graph walk and the split-phase API share every stage body."""
+    program = build_program(get_profile("mcf"), seed=SEED)
+    config = make_config(parse_checkers("4xA510@2.0"), mode)
+    walked = ParaVerserSystem(config).run(program, max_instructions=20_000)
+
     system = ParaVerserSystem(config)
-    run = system.execute(program, max_instructions=BUDGET)
-    segments = system.segment(run)
-    serial = verify_sample(config, program, segments)
-    mapped = verify_sample(config, program, segments,
-                           mapper=GraphExecutor(4).map_ordered)
-    assert len(serial) == len(mapped) > 0
-    for a, b in zip(serial, mapped):
-        assert a.detected == b.detected
-        assert a.instructions_replayed == b.instructions_replayed
-        assert a.first_event == b.first_event
+    prepared = system.prepare(program, max_instructions=20_000)
+    traffic = system.estimate_traffic(prepared)
+    extra_llc, push_latency = noc_adjustment(system.ctx, traffic)
+    split = system.finalize(prepared, extra_llc, push_latency)
+
+    assert split == walked
+    assert split.verify_results and split.schedule
+    leaves = _simulated_leaves(walked)
+    assert len(leaves) > 100
+    assert _simulated_leaves(split) == leaves

@@ -6,7 +6,6 @@ from repro.core.system import (
     BASELINE_GRID,
     ParaVerserConfig,
     ParaVerserSystem,
-    _grid_time_at,
     warm_addresses,
 )
 from repro.cpu.config import CoreInstance
@@ -14,6 +13,7 @@ from repro.cpu.presets import A510, X2
 from repro.cpu.timing import TimingResult
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import Program
+from repro.pipeline.timing import grid_time_at
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
 
@@ -29,29 +29,29 @@ def fake_baseline(boundaries_ns, instructions):
 class TestGridInterpolation:
     def test_exact_grid_point(self):
         baseline = fake_baseline([10.0, 20.0, 30.0], 3 * BASELINE_GRID)
-        assert _grid_time_at(baseline, BASELINE_GRID) == pytest.approx(10.0)
-        assert _grid_time_at(baseline, 2 * BASELINE_GRID) == pytest.approx(20.0)
+        assert grid_time_at(baseline, BASELINE_GRID) == pytest.approx(10.0)
+        assert grid_time_at(baseline, 2 * BASELINE_GRID) == pytest.approx(20.0)
 
     def test_interpolates_between_points(self):
         baseline = fake_baseline([10.0, 20.0], 2 * BASELINE_GRID)
         halfway = BASELINE_GRID + BASELINE_GRID // 2
-        assert _grid_time_at(baseline, halfway) == pytest.approx(15.0)
+        assert grid_time_at(baseline, halfway) == pytest.approx(15.0)
 
     def test_below_first_point(self):
         baseline = fake_baseline([10.0, 20.0], 2 * BASELINE_GRID)
         quarter = BASELINE_GRID // 4
-        assert _grid_time_at(baseline, quarter) == pytest.approx(2.5)
+        assert grid_time_at(baseline, quarter) == pytest.approx(2.5)
 
     def test_no_grid_falls_back_to_linear(self):
         baseline = TimingResult(label="t", instructions=1000,
                                 cycles=3000.0, freq_ghz=3.0)
-        assert _grid_time_at(baseline, 500) == pytest.approx(500.0)
+        assert grid_time_at(baseline, 500) == pytest.approx(500.0)
 
     def test_monotone_in_instruction_index(self):
         baseline = fake_baseline([5.0, 11.0, 30.0, 31.0], 4 * BASELINE_GRID)
         previous = 0.0
         for instr in range(0, 4 * BASELINE_GRID, 157):
-            value = _grid_time_at(baseline, instr)
+            value = grid_time_at(baseline, instr)
             assert value >= previous
             previous = value
 
