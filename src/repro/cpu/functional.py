@@ -8,23 +8,30 @@ which guarantees that replay semantics match original-run semantics by
 construction.
 
 Fault injection (section VII-B) hooks in through :class:`FaultSurface`:
-every functional-unit result and every load/store address passes through
-``apply`` tagged with the unit class and instance that produced it.
+functional-unit results and load/store addresses pass through ``apply``
+tagged with the unit class and instance that produced them.
 
 Dispatch is table-driven end to end, and the commit trace is columnar
 (:class:`~repro.cpu.columns.TraceColumns`): handlers append to the dense
 pc column and the sparse memory/branch planes instead of building one
-``TraceEntry`` heap object per instruction.  Two per-program handler
-tables are cached on the program object:
+``TraceEntry`` heap object per instruction.  Each opcode has two
+handlers:
 
-* the generic table — one handler per opcode, routing every produced
-  value through the fault surface; used whenever a fault surface is
-  installed or an FU class has multiple units;
-* the fast table — one *per-pc* closure with the instruction's register
-  indices, immediates and masks bound at build time, used by healthy
-  single-unit cores (the overwhelmingly common case: main trace runs,
-  checkpoint passes, and healthy checker replays).  Bit-identical to the
-  generic table with a :class:`NoFaults` surface by construction.
+* the generic handler, which routes every produced value through the
+  fault surface (with round-robin unit selection) and declares, in its
+  ``fu_kinds`` attribute, the FU classes it passes values for;
+* the fast handler, one *per-pc* closure with the instruction's register
+  indices, immediates and masks bound at build time and no fault surface.
+
+A core runs one per-pc handler table, chosen by its surface's
+``fu_kinds`` (the FU classes the surface can alter) and cached on the
+program per distinct set: a pc whose generic handler passes a value for
+a class in the set runs the generic handler, every other pc runs the
+fast one.  This is exact, because a surface is the identity on the
+classes it does not declare, and a class's round-robin counter is only
+read by ops of that class.  A healthy core (``fu_kinds`` empty) runs
+fast handlers only; a surface without ``fu_kinds`` runs the generic
+handler at every pc.
 
 ``TraceEntry`` remains as the object view; ``RunResult.trace``
 materialises it lazily from the columns.
@@ -35,6 +42,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import Protocol
+
+import numpy as np
 
 from repro.cpu.columns import TraceColumns
 from repro.isa.instructions import FUKind, Instruction, OP_SPECS, Opcode
@@ -60,7 +69,13 @@ class ControlFlowEscape(ExecutionError):
 
 
 class FaultSurface(Protocol):
-    """Hook applied to every value produced by a functional unit."""
+    """Hook applied to every value produced by a functional unit.
+
+    A surface may also declare ``fu_kinds``, the frozenset of FU classes
+    it can alter; ``apply`` must be the identity, and change no state,
+    for every other class.  The core then only calls ``apply`` for ops
+    that pass a value for a declared class.
+    """
 
     def apply(self, fu: FUKind, unit: int, value: int | float,
               is_address: bool = False) -> int | float: ...
@@ -68,6 +83,8 @@ class FaultSurface(Protocol):
 
 class NoFaults:
     """Fault surface of a healthy core."""
+
+    fu_kinds = frozenset()
 
     def apply(self, fu: FUKind, unit: int, value: int | float,
               is_address: bool = False) -> int | float:
@@ -202,32 +219,69 @@ class RunResult:
         return self.end_checkpoint.pc
 
 
-def _program_tables(program: Program) -> tuple[list, list]:
-    """Per-pc (generic handler, fu-name) tables, computed once per program.
+def _fu_names(program: Program) -> list[str]:
+    """Per-pc FU-class names (for class counts), computed once per program."""
+    names = getattr(program, "_fu_names", None)
+    if names is None:
+        names = [OP_SPECS[instr.op].fu.value
+                 for instr in program.instructions]
+        program._fu_names = names
+    return names
 
-    The tables only depend on the static instruction stream, so they are
-    cached on the program object and shared by every core — main, the
-    RCU's checkpoint pass, checkers, and fault-injection replays — that
-    executes it.
+
+#: One bit per FU class, for per-pc and per-segment class footprints.
+FU_BITS = {kind: 1 << i for i, kind in enumerate(FUKind)}
+ALL_FU_BITS = (1 << len(FUKind)) - 1
+
+
+def fu_bits(kinds) -> int:
+    """Bitmask of a set of FU classes; ``None`` (undeclared) is all."""
+    if kinds is None:
+        return ALL_FU_BITS
+    bits = 0
+    for kind in kinds:
+        bits |= FU_BITS[kind]
+    return bits
+
+
+def pc_fu_bits(program: Program) -> np.ndarray:
+    """Per-pc bitmask of the FU classes each generic handler passes
+    values for, computed once per program."""
+    masks = getattr(program, "_pc_fu_bits", None)
+    if masks is None:
+        masks = np.array([fu_bits(_HANDLERS[instr.op].fu_kinds)
+                          for instr in program.instructions],
+                         dtype=np.uint32)
+        program._pc_fu_bits = masks
+    return masks
+
+
+def _handler_table(program: Program, kinds: frozenset | None) -> list:
+    """The per-pc handler table for a surface that alters ``kinds``.
+
+    Cached on the program per distinct ``kinds``, and shared by every
+    core (main, the RCU's checkpoint pass, checkers and fault-injection
+    replays) that executes it.  ``None`` selects the generic handler at
+    every pc.
     """
-    tables = getattr(program, "_functional_tables", None)
+    tables = getattr(program, "_handler_tables", None)
     if tables is None:
-        handlers = [_HANDLERS[instr.op] for instr in program.instructions]
-        fu_names = [OP_SPECS[instr.op].fu.value
-                    for instr in program.instructions]
-        tables = (handlers, fu_names)
-        program._functional_tables = tables
-    return tables
-
-
-def _fast_tables(program: Program) -> list:
-    """Per-pc specialised closures for healthy single-unit cores."""
-    table = getattr(program, "_fast_handlers", None)
+        tables = program._handler_tables = {}
+    table = tables.get(kinds)
     if table is None:
-        n = len(program.instructions)
-        table = [_build_fast(pc, instr, n)
-                 for pc, instr in enumerate(program.instructions)]
-        program._fast_handlers = table
+        instrs = program.instructions
+        if kinds is None:
+            table = [_bind_generic(pc, instr)
+                     for pc, instr in enumerate(instrs)]
+        elif not kinds:
+            table = [_build_fast(pc, instr, len(instrs))
+                     for pc, instr in enumerate(instrs)]
+        else:
+            table = list(_handler_table(program, frozenset()))
+            for pc, instr in enumerate(instrs):
+                if kinds & _HANDLERS[instr.op].fu_kinds:
+                    table[pc] = _bind_generic(pc, instr)
+        tables[kinds] = table
     return table
 
 
@@ -290,12 +344,10 @@ class FunctionalCore:
         self.committed = 0
         self.halted = False
         self._cols = _NULL_COLUMNS
-        # Healthy single-unit cores run the per-pc fast handler table,
-        # which skips the fault surface and round-robin unit selection
-        # entirely (their slow-path results are identities by
-        # construction, so this is bit-exact).
-        self._fast = (type(self.fault) is NoFaults
-                      and all(c <= 1 for c in self.fu_counts.values()))
+        # Only ops that pass a value for a class the surface can alter
+        # take the generic fault path; the rest run fast handlers.
+        self._handlers = _handler_table(
+            program, getattr(self.fault, "fu_kinds", None))
 
     # -- functional-unit plumbing -------------------------------------------
 
@@ -333,27 +385,15 @@ class FunctionalCore:
         pcs_append = cols.pcs.append if record_trace else _discard
         executed = 0
         pc = self.pc
+        handlers = self._handlers
         try:
-            if self._fast:
-                handlers = _fast_tables(program)
-                while executed < max_instructions and not self.halted:
-                    if not 0 <= pc < n:
-                        break  # fell off the end of the program
-                    pcs_append(pc)
-                    pc = handlers[pc](self)
-                    executed += 1
-                    self.committed += 1
-            else:
-                handlers, _ = _program_tables(program)
-                instrs = program.instructions
-                while executed < max_instructions and not self.halted:
-                    if not 0 <= pc < n:
-                        break
-                    self.pc = pc
-                    pcs_append(pc)
-                    pc = handlers[pc](self, instrs[pc])
-                    executed += 1
-                    self.committed += 1
+            while executed < max_instructions and not self.halted:
+                if not 0 <= pc < n:
+                    break  # fell off the end of the program
+                pcs_append(pc)
+                pc = handlers[pc](self)
+                executed += 1
+                self.committed += 1
         except BaseException:
             self.pc = pc
             raise
@@ -361,7 +401,7 @@ class FunctionalCore:
             self._cols = _NULL_COLUMNS
         self.pc = pc
         if record_trace:
-            class_counts = cols.class_counts(_program_tables(program)[1])
+            class_counts = cols.class_counts(_fu_names(program))
         else:
             class_counts = {}
         return RunResult(
@@ -419,9 +459,27 @@ _BRANCH_OPS = {
 # One handler per opcode, generated from the per-family operator tables.
 # Each takes (core, instr), appends the instruction's sparse trace rows to
 # ``core._cols``, and returns the next pc.  Every produced value passes
-# through the core's fault surface.
+# through the core's fault surface, and ``fu_kinds`` names the classes it
+# passes values for.
+
+def _uses(*kinds: FUKind):
+    """Declare the FU classes a generic handler passes values for."""
+    def declare(handler):
+        handler.fu_kinds = frozenset(kinds)
+        return handler
+    return declare
+
+
+def _bind_generic(pc: int, instr: Instruction):
+    """A per-pc entry that runs the generic handler at ``pc``."""
+    def h_generic(core, fn=_HANDLERS[instr.op], instr=instr, pc=pc):
+        core.pc = pc
+        return fn(core, instr)
+    return h_generic
+
 
 def _make_int3(op_fn):
+    @_uses(_INT_ALU)
     def handler(core: FunctionalCore, instr: Instruction) -> int:
         regs = core.regs
         ints = regs.ints
@@ -434,6 +492,7 @@ def _make_int3(op_fn):
 
 
 def _make_imm(op_fn):
+    @_uses(_INT_ALU)
     def handler(core: FunctionalCore, instr: Instruction) -> int:
         regs = core.regs
         regs.write_int(
@@ -445,6 +504,7 @@ def _make_imm(op_fn):
 
 
 def _make_fp3(op_fn):
+    @_uses(FUKind.FP)
     def handler(core: FunctionalCore, instr: Instruction) -> int:
         regs = core.regs
         fps = regs.fps
@@ -457,6 +517,7 @@ def _make_fp3(op_fn):
 
 
 def _make_branch(cmp_fn):
+    @_uses(FUKind.BRANCH)
     def handler(core: FunctionalCore, instr: Instruction) -> int:
         ints = core.regs.ints
         taken = cmp_fn(to_signed(ints[instr.rs1]), to_signed(ints[instr.rs2]))
@@ -471,6 +532,7 @@ def _make_branch(cmp_fn):
     return handler
 
 
+@_uses(FUKind.INT_MUL)
 def _h_mul(core: FunctionalCore, instr: Instruction) -> int:
     ints = core.regs.ints
     v = ints[instr.rs1] * ints[instr.rs2]
@@ -478,6 +540,7 @@ def _h_mul(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses(FUKind.INT_DIV)
 def _h_div(core: FunctionalCore, instr: Instruction) -> int:
     ints = core.regs.ints
     a = to_signed(ints[instr.rs1])
@@ -492,6 +555,7 @@ def _h_div(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses(FUKind.INT_DIV)
 def _h_rem(core: FunctionalCore, instr: Instruction) -> int:
     ints = core.regs.ints
     a = to_signed(ints[instr.rs1])
@@ -506,17 +570,20 @@ def _h_rem(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses(_INT_ALU)
 def _h_lui(core: FunctionalCore, instr: Instruction) -> int:
     core.regs.write_int(instr.rd, core._alu(_INT_ALU, instr.imm))
     return core.pc + 1
 
 
+@_uses(_INT_ALU)
 def _h_mov(core: FunctionalCore, instr: Instruction) -> int:
     regs = core.regs
     regs.write_int(instr.rd, core._alu(_INT_ALU, regs.ints[instr.rs1]))
     return core.pc + 1
 
 
+@_uses(FUKind.FP_DIV)
 def _h_fdiv(core: FunctionalCore, instr: Instruction) -> int:
     fps = core.regs.fps
     a = fps[instr.rs1]
@@ -529,6 +596,7 @@ def _h_fdiv(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses(FUKind.FP_DIV)
 def _h_fsqrt(core: FunctionalCore, instr: Instruction) -> int:
     a = core.regs.fps[instr.rs1]
     v = a ** 0.5 if a >= 0.0 else float("nan")
@@ -536,12 +604,14 @@ def _h_fsqrt(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses(FUKind.FP)
 def _h_fcvt_if(core: FunctionalCore, instr: Instruction) -> int:
     v = float(to_signed(core.regs.ints[instr.rs1]))
     core.regs.write_fp(instr.rd, core._fpu(FUKind.FP, v))
     return core.pc + 1
 
 
+@_uses(FUKind.FP)
 def _h_fcvt_fi(core: FunctionalCore, instr: Instruction) -> int:
     f = core.regs.fps[instr.rs1]
     if f != f:  # NaN
@@ -556,12 +626,14 @@ def _h_fcvt_fi(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses(FUKind.FP)
 def _h_fmov(core: FunctionalCore, instr: Instruction) -> int:
     regs = core.regs
     regs.write_fp(instr.rd, core._fpu(FUKind.FP, regs.fps[instr.rs1]))
     return core.pc + 1
 
 
+@_uses(FUKind.LOAD)
 def _h_ld(core: FunctionalCore, instr: Instruction) -> int:
     regs = core.regs
     addr = core._mem_addr(FUKind.LOAD, regs.ints[instr.rs1] + instr.imm)
@@ -577,6 +649,7 @@ def _h_ld(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses(FUKind.STORE)
 def _h_st(core: FunctionalCore, instr: Instruction) -> int:
     regs = core.regs
     addr = core._mem_addr(FUKind.STORE, regs.ints[instr.rs1] + instr.imm)
@@ -588,6 +661,7 @@ def _h_st(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses(FUKind.LOAD)
 def _h_ldg(core: FunctionalCore, instr: Instruction) -> int:
     regs = core.regs
     addr1 = core._mem_addr(FUKind.LOAD, regs.ints[instr.rs1])
@@ -600,6 +674,7 @@ def _h_ldg(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses(FUKind.STORE)
 def _h_sts(core: FunctionalCore, instr: Instruction) -> int:
     regs = core.regs
     addr1 = core._mem_addr(FUKind.STORE, regs.ints[instr.rs1])
@@ -611,6 +686,7 @@ def _h_sts(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses(FUKind.LOAD)
 def _h_swp(core: FunctionalCore, instr: Instruction) -> int:
     regs = core.regs
     addr = core._mem_addr(FUKind.LOAD, regs.ints[instr.rs1])
@@ -621,6 +697,7 @@ def _h_swp(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses(FUKind.LOAD, FUKind.STORE)
 def _h_bcopy(core: FunctionalCore, instr: Instruction) -> int:
     regs = core.regs
     words = max(1, min(instr.imm, 32))
@@ -631,6 +708,7 @@ def _h_bcopy(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses(FUKind.STORE)
 def _h_sc(core: FunctionalCore, instr: Instruction) -> int:
     regs = core.regs
     addr = core._mem_addr(FUKind.STORE, regs.ints[instr.rs1])
@@ -644,6 +722,7 @@ def _h_sc(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses()
 def _h_rdrand(core: FunctionalCore, instr: Instruction) -> int:
     v = core.nonrep.rdrand()
     core.regs.write_int(instr.rd, v)
@@ -651,6 +730,7 @@ def _h_rdrand(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses()
 def _h_rdtime(core: FunctionalCore, instr: Instruction) -> int:
     v = core.nonrep.rdtime(core.committed)
     core.regs.write_int(instr.rd, v)
@@ -658,6 +738,7 @@ def _h_rdtime(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses()
 def _h_sysrd(core: FunctionalCore, instr: Instruction) -> int:
     v = core.nonrep.sysrd()
     core.regs.write_int(instr.rd, v)
@@ -665,11 +746,13 @@ def _h_sysrd(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses()
 def _h_jmp(core: FunctionalCore, instr: Instruction) -> int:
     # Statically taken; reconstructed from the program, no branch row.
     return instr.target
 
 
+@_uses(FUKind.BRANCH)
 def _h_jalr(core: FunctionalCore, instr: Instruction) -> int:
     target = core._alu(FUKind.BRANCH, core.regs.ints[instr.rs1])
     pc = core.pc
@@ -683,10 +766,12 @@ def _h_jalr(core: FunctionalCore, instr: Instruction) -> int:
     return target
 
 
+@_uses()
 def _h_nop(core: FunctionalCore, instr: Instruction) -> int:
     return core.pc + 1
 
 
+@_uses()
 def _h_halt(core: FunctionalCore, instr: Instruction) -> int:
     core.halted = True
     return core.pc
@@ -724,11 +809,12 @@ _HANDLERS = {
 }
 
 
-# -- per-pc fast handlers (healthy, single-unit cores) -----------------------
-# Built once per program by _fast_tables.  Register indices, immediates,
+# -- per-pc fast handlers ----------------------------------------------------
+# Built once per program by _handler_table.  Register indices, immediates,
 # masks and successors are bound at build time; the fault surface and unit
-# round-robin are skipped (identities under NoFaults + single units), and
-# destination-x0 writes are elided (write_int discards them anyway).
+# round-robin are skipped (identities for classes the surface does not
+# declare), and destination-x0 writes are elided (write_int discards them
+# anyway).
 
 def _f_nop(nxt):
     def handler(core):
@@ -1082,6 +1168,4 @@ def _build_fast(pc, instr, n_instructions):
         return h_halt
 
     # Unknown / future opcode: fall back to the generic handler.
-    def h_generic(core, fn=_HANDLERS[op], instr=instr):
-        return fn(core, instr)
-    return h_generic
+    return _bind_generic(pc, instr)

@@ -18,7 +18,7 @@ from repro.cpu.functional import (
     FunctionalCore,
     MainNonRepSource,
     RunResult,
-    _program_tables,
+    _fu_names,
 )
 from repro.isa.program import Program
 from repro.isa.registers import RegisterCheckpoint
@@ -92,7 +92,7 @@ def run_multicore(
     for tid, core in enumerate(cores):
         columns = traces[tid]
         class_counts = columns.class_counts(
-            _program_tables(programs[tid])[1])
+            _fu_names(programs[tid]))
         runs.append(ThreadRun(
             program=programs[tid],
             result=RunResult(

@@ -11,6 +11,11 @@ does).  A trial:
 4. if no covered segment detects, replays *all* segments to classify the
    fault as masked (it never changed execution — the paper's "correctly
    masked" 24 %) or as missed-by-coverage.
+
+Both passes skip the segments a fault cannot reach
+(:func:`reachable_segments`): a segment whose healthy replay passes no
+value for a functional-unit class the fault can alter replays exactly
+as a healthy replay does, which never detects.
 """
 
 from __future__ import annotations
@@ -19,11 +24,14 @@ import logging
 from dataclasses import dataclass, field
 from typing import Union
 
+import numpy as np
+
 from repro.core.checker import CheckerCore
 from repro.core.counter import Segment
 from repro.core.errors import DetectionEvent
 from repro.core.system import SystemResult
 from repro.cpu.config import CoreConfig
+from repro.cpu.functional import fu_bits, pc_fu_bits
 from repro.faults.models import (
     FAULT_STUCK_AT,
     DefectFault,
@@ -122,16 +130,54 @@ def checker_fu_counts(config: CoreConfig) -> dict[FUKind, int]:
     return {kind: fu.units for kind, fu in config.fus.items()}
 
 
+def segment_footprints(program: Program, pcs,
+                       segments: list[Segment]) -> list[int]:
+    """Per segment, the bitmask of FU classes its replay passes values for.
+
+    ``pcs`` is the commit trace's pc column the segments index into; a
+    replay that diverges from it has already met a faulted class.
+    """
+    masks = pc_fu_bits(program)[np.asarray(pcs, dtype=np.intp)]
+    return [int(np.bitwise_or.reduce(masks[seg.start:seg.end]))
+            for seg in segments]
+
+
+def reachable_segments(fault, segments: list[Segment],
+                       footprints: list[int] | None) -> set[int]:
+    """Indices of the segments whose replay ``fault`` can perturb.
+
+    Any other segment's footprint misses every class the fault declares
+    in ``fu_kinds``, so its faulty replay calls no fault hook: it runs
+    exactly as a healthy replay (which never detects) and leaves the
+    fault's use and match counters untouched.  A register fault's
+    ``strike_segment`` is always reachable.  A fault without
+    ``fu_kinds`` is taken to alter every class; with ``footprints=None``
+    every segment is reachable.
+    """
+    if footprints is None:
+        return {seg.index for seg in segments}
+    bits = fu_bits(getattr(fault, "fu_kinds", None))
+    strike = getattr(fault, "strike_segment", None)
+    return {seg.index for seg, footprint in zip(segments, footprints)
+            if footprint & bits or seg.index == strike}
+
+
 class FaultCampaign:
-    """Runs stuck-at injection trials against checked segments."""
+    """Runs stuck-at injection trials against checked segments.
+
+    ``footprints`` (from :func:`segment_footprints`) lets trials skip the
+    segments a fault cannot reach; without it every segment is replayed.
+    """
 
     def __init__(self, program: Program, segments: list[Segment],
                  checker_config: CoreConfig,
-                 hash_mode: bool = False) -> None:
+                 hash_mode: bool = False,
+                 footprints: list[int] | None = None) -> None:
         self.program = program
         self.segments = segments
         self.fu_counts = checker_fu_counts(checker_config)
         self.hash_mode = hash_mode
+        self.footprints = footprints
 
     def run_trial(self, fault: Fault,
                   covered: list[int] | None = None,
@@ -139,6 +185,8 @@ class FaultCampaign:
                   kind: str = FAULT_STUCK_AT) -> InjectionResult:
         """Inject ``fault`` on the checker; replay covered segments."""
         covered_set = set(covered) if covered is not None else None
+        reach = reachable_segments(fault, self.segments, self.footprints)
+        checked = reach if covered_set is None else reach & covered_set
         # Stateful faults (transients) carry use counters; start each
         # replay pass from a pristine copy so a trial's outcome never
         # depends on what ran on the fault object before it.
@@ -146,7 +194,7 @@ class FaultCampaign:
                               fu_counts=self.fu_counts,
                               hash_mode=self.hash_mode)
         for seg in self.segments:
-            if covered_set is not None and seg.index not in covered_set:
+            if seg.index not in checked:
                 continue
             result = checker.check_segment(seg)
             if result.detected:
@@ -163,7 +211,7 @@ class FaultCampaign:
                                fu_counts=self.fu_counts,
                                hash_mode=self.hash_mode)
             for seg in self.segments:
-                if seg.index in covered_set:
+                if seg.index in covered_set or seg.index not in reach:
                     continue
                 if full.check_segment(seg).detected:
                     # Effective fault that coverage missed.

@@ -35,7 +35,7 @@ from typing import Callable
 
 from repro.core.system import CheckMode, ParaVerserSystem
 from repro.cpu.presets import parse_checkers
-from repro.faults.campaign import covered_segments
+from repro.faults.campaign import covered_segments, segment_footprints
 from repro.faults.models import ALL_FAULT_KINDS, fault_for_trial
 from repro.faults.scenarios import (
     CAMPAIGN_SCHEMES,
@@ -326,15 +326,19 @@ def build_campaign_context(cache, workload: str, config,
     Runs ``config`` over ``cache``'s functional trace of ``workload``
     (a :class:`~repro.harness.runner.WorkloadCache`), segments the
     trace, and builds ``scheme``'s trial runner against the first
-    checker's core with the config's ``hash_mode``.  ``seed`` keys the
-    DME decorrelation masks.
+    checker's core with the config's ``hash_mode``, and with the
+    segments' FU footprints so trials skip the segments a fault cannot
+    reach.  ``seed`` keys the DME decorrelation masks.
     """
     cached = cache.get(workload)
     result = cache.run_config(workload, config)
     segments = ParaVerserSystem(config).segment(cached.run)
+    footprints = segment_footprints(cached.program, cached.run.columns.pcs,
+                                    segments)
     campaign = make_campaign(scheme, cached.program, segments,
                              config.checkers[0].config,
-                             hash_mode=config.hash_mode, seed=seed)
+                             hash_mode=config.hash_mode, seed=seed,
+                             footprints=footprints)
     return CampaignContext(campaign=campaign,
                            covered=covered_segments(result),
                            segments=len(segments),

@@ -62,6 +62,11 @@ class StuckAtFault:
     stuck_at: int  # 0 or 1
     addresses_only: bool = False  # LSQ address-path fault
 
+    @property
+    def fu_kinds(self) -> frozenset:
+        """The FU classes this fault can alter."""
+        return frozenset((self.fu,))
+
     def apply(self, fu: FUKind, unit: int, value: int | float,
               is_address: bool = False) -> int | float:
         if fu is not self.fu or unit != self.unit:
@@ -100,6 +105,12 @@ class TransientFault:
     addresses_only: bool = False
     _uses: int = 0
     fired: bool = False
+
+    @property
+    def fu_kinds(self) -> frozenset:
+        """The FU classes this fault can alter (its use counter only
+        advances on this class)."""
+        return frozenset((self.fu,))
 
     def apply(self, fu: FUKind, unit: int, value: int | float,
               is_address: bool = False) -> int | float:
@@ -145,6 +156,9 @@ class RegisterFault:
     bit: int
     strike_segment: int
     fired: bool = False
+
+    #: No FU output is altered; only ``strike_segment``'s end snapshot.
+    fu_kinds = frozenset()
 
     def apply(self, fu: FUKind, unit: int, value: int | float,
               is_address: bool = False) -> int | float:
@@ -204,6 +218,12 @@ class DefectFault:
     latch_after: int = 1
     addresses_only: bool = False
     matches: int = 0    # persistent activation state
+
+    @property
+    def fu_kinds(self) -> frozenset:
+        """The FU classes this defect can alter (its match counter only
+        advances on these)."""
+        return frozenset(self.fus)
 
     def apply(self, fu: FUKind, unit: int, value: int | float,
               is_address: bool = False) -> int | float:

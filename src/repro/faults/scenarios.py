@@ -30,6 +30,10 @@ trial's fault is exposed to replay and what "detected" means:
   end) and escapes for corruptions invisible in the window-final
   register file.
 
+Every scheme skips the segments a fault cannot reach
+(:func:`~repro.faults.campaign.reachable_segments`); MEEK skips a window
+only when it can skip every segment in it.
+
 Every scheme's trial runner is a pure function of ``(spec, trial)``:
 faults come from :func:`~repro.faults.models.derive_trial_seed` streams
 and the decorrelation masks are sha256-derived from the campaign seed,
@@ -54,6 +58,7 @@ from repro.faults.campaign import (
     FaultCampaign,
     InjectionResult,
     checker_fu_counts,
+    reachable_segments,
 )
 from repro.faults.models import (
     FAULT_DEFECT,
@@ -112,7 +117,9 @@ class DecorrelatedSurface:
     agree with the canonical address stream (masked) disagrees with a
     remapped one.  Non-address values pass through untouched, and with
     no fault installed the remap composes to the identity — healthy
-    decorrelated replay is bit-identical to canonical replay.
+    decorrelated replay is bit-identical to canonical replay.  It alters
+    the same FU classes as the wrapped fault, so ``fu_kinds`` (like any
+    other protocol extension) is delegated to it.
     """
 
     fault: object
@@ -138,7 +145,12 @@ class DecorrelatedSurface:
     def __getattr__(self, name: str):
         # Register-file faults expose corrupt_checkpoint; delegate any
         # protocol extensions to the wrapped fault (register state is
-        # not address space, the remap does not apply).
+        # not address space, the remap does not apply).  ``fault`` and
+        # dunders are never delegated: copy and pickle probe them on an
+        # instance whose fields are not set yet.
+        if name == "fault" or (name.startswith("__")
+                               and name.endswith("__")):
+            raise AttributeError(name)
         return getattr(self.fault, name)
 
 
@@ -152,11 +164,13 @@ class DivergentCampaign:
 
     def __init__(self, program: Program, segments: list[Segment],
                  checker_config: CoreConfig, hash_mode: bool = False,
-                 seed: int = 0, versions: int = DME_VERSIONS) -> None:
+                 seed: int = 0, versions: int = DME_VERSIONS,
+                 footprints: list[int] | None = None) -> None:
         self.program = program
         self.segments = segments
         self.fu_counts = checker_fu_counts(checker_config)
         self.hash_mode = hash_mode
+        self.footprints = footprints
         self.masks = tuple(decorrelation_mask(seed, v)
                            for v in range(versions))
 
@@ -168,13 +182,15 @@ class DivergentCampaign:
                   trial: int = -1,
                   kind: str = FAULT_STUCK_AT) -> InjectionResult:
         covered_set = set(covered) if covered is not None else None
+        reach = reachable_segments(fault, self.segments, self.footprints)
+        checked = reach if covered_set is None else reach & covered_set
         best: tuple[int, int, int] | None = None  # (end, version, segment)
         for version, mask in enumerate(self.masks):
             checker = CheckerCore(
                 self.program, fault_surface=self._surface(fault, mask),
                 fu_counts=self.fu_counts, hash_mode=self.hash_mode)
             for seg in self.segments:
-                if covered_set is not None and seg.index not in covered_set:
+                if seg.index not in checked:
                     continue
                 result = checker.check_segment(seg)
                 if result.detected:
@@ -197,7 +213,7 @@ class DivergentCampaign:
                     self.program, fault_surface=self._surface(fault, mask),
                     fu_counts=self.fu_counts, hash_mode=self.hash_mode)
                 for seg in self.segments:
-                    if seg.index in covered_set:
+                    if seg.index in covered_set or seg.index not in reach:
                         continue
                     if full.check_segment(seg).detected:
                         return InjectionResult(
@@ -221,12 +237,14 @@ class ReducedObservabilityCampaign:
 
     def __init__(self, program: Program, segments: list[Segment],
                  checker_config: CoreConfig, hash_mode: bool = False,
-                 interval: int = MEEK_CHECKPOINT_INTERVAL) -> None:
+                 interval: int = MEEK_CHECKPOINT_INTERVAL,
+                 footprints: list[int] | None = None) -> None:
         del hash_mode  # observability is fixed by the scheme itself
         self.program = program
         self.segments = segments
         self.fu_counts = checker_fu_counts(checker_config)
         self.interval = max(1, interval)
+        self.footprints = footprints
 
     def _windows(self) -> list[list[Segment]]:
         return [self.segments[i:i + self.interval]
@@ -277,12 +295,18 @@ class ReducedObservabilityCampaign:
                   trial: int = -1,
                   kind: str = FAULT_STUCK_AT) -> InjectionResult:
         covered_set = set(covered) if covered is not None else None
+        reach = reachable_segments(fault, self.segments, self.footprints)
         surface = fault.fresh()
         for window in self._windows():
             if covered_set is not None and any(
                     seg.index not in covered_set for seg in window):
                 # A window can only close if every segment's log was
                 # shipped; partially-covered windows go unchecked.
+                continue
+            # Segments carry state through a window, so a window is
+            # skipped only whole: every segment then replays healthily
+            # and ends at the golden checkpoint the next one starts from.
+            if all(seg.index not in reach for seg in window):
                 continue
             if self._check_window(window, surface):
                 return InjectionResult(
@@ -296,7 +320,7 @@ class ReducedObservabilityCampaign:
         full = CheckerCore(self.program, fault_surface=fault.fresh(),
                            fu_counts=self.fu_counts, hash_mode=False)
         for seg in self.segments:
-            if full.check_segment(seg).detected:
+            if seg.index in reach and full.check_segment(seg).detected:
                 return InjectionResult(fault=fault, detected=False,
                                        masked=False, trial=trial, kind=kind)
         return InjectionResult(fault=fault, detected=False, masked=True,
@@ -313,17 +337,23 @@ def default_fault_kinds(scheme: str) -> tuple[str, ...]:
 
 def make_campaign(scheme: str, program: Program, segments: list[Segment],
                   checker_config: CoreConfig, hash_mode: bool = False,
-                  seed: int = 0):
-    """Build the trial runner for one campaign scheme."""
+                  seed: int = 0, footprints: list[int] | None = None):
+    """Build the trial runner for one campaign scheme.
+
+    ``footprints`` (see :func:`~repro.faults.campaign.segment_footprints`)
+    lets its trials skip the segments a fault cannot reach.
+    """
     if scheme in (SCHEME_PARAVERSER, SCHEME_ITHICA):
         return FaultCampaign(program, segments, checker_config,
-                             hash_mode=hash_mode)
+                             hash_mode=hash_mode, footprints=footprints)
     if scheme == SCHEME_DME:
         return DivergentCampaign(program, segments, checker_config,
-                                 hash_mode=hash_mode, seed=seed)
+                                 hash_mode=hash_mode, seed=seed,
+                                 footprints=footprints)
     if scheme == SCHEME_MEEK:
         return ReducedObservabilityCampaign(program, segments,
                                             checker_config,
-                                            hash_mode=hash_mode)
+                                            hash_mode=hash_mode,
+                                            footprints=footprints)
     raise ValueError(f"unknown campaign scheme {scheme!r}; "
                      f"known: {', '.join(CAMPAIGN_SCHEMES)}")

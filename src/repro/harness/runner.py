@@ -221,9 +221,9 @@ class WorkloadCache:
 def _probe_config(seed: int = DEFAULT_SEED) -> ParaVerserConfig:
     """A minimal config used only to drive functional execution.
 
-    The seed must match the configs later run against the cached trace:
-    non-repeatable values (RNG/timer) are drawn from it, and the RCU
-    checkpoint pass re-executes with the same sources.
+    Its seed draws the trace's non-repeatable values (RNG); the RCU
+    checkpoint pass replays the recorded values, so configs later run
+    against the cached trace need not share the seed.
     """
     main = CoreInstance(X2, 3.0)
     return ParaVerserConfig(main=main, checkers=[main], seed=seed)

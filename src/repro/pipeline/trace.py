@@ -12,7 +12,7 @@ from repro.core.checker import LogReplayInterface
 from repro.core.counter import Segment, SegmentBuilder
 from repro.core.hashmode import digest_segment
 from repro.core.lsc import LoadStoreComparator
-from repro.core.simconfig import ParaVerserConfig
+from repro.cpu.columns import TraceColumns
 from repro.cpu.functional import (
     DirectMemoryPort,
     FunctionalCore,
@@ -52,23 +52,50 @@ def segment_trace(
         hash_mode=config.hash_mode,
     )
     segments = builder.split(run.columns, forced_boundaries)
-    fill_checkpoints(config, run, segments, boundary_checkpoints)
+    fill_checkpoints(run, segments, boundary_checkpoints)
     if config.hash_mode:
         for seg in segments:
             seg.digest = digest_segment(seg.records)
     return segments
 
 
+class RecordedNonRepSource:
+    """A trace's own non-repeatable values, served back in commit order.
+
+    The checkpoint pass re-executes the main core with these, so its
+    RNG, timer, system-register and store-conditional results are the
+    ones the trace recorded, whatever seed or core id the configuration
+    being evaluated carries.
+    """
+
+    def __init__(self, columns: TraceColumns) -> None:
+        self._next = iter([row[7] for row in columns.mem_rows
+                           if row[7] is not None]).__next__
+
+    def rdrand(self) -> int:
+        return self._next()
+
+    def rdtime(self, committed: int) -> int:
+        del committed
+        return self._next()
+
+    def sysrd(self) -> int:
+        return self._next()
+
+    def sc_success(self) -> int:
+        return self._next()
+
+
 def fill_checkpoints(
-    config: ParaVerserConfig,
     run: RunResult,
     segments: list[Segment],
     known: dict[int, RegisterCheckpoint] | None = None,
 ) -> None:
     """Capture the RCU's boundary register checkpoints.
 
-    For single-threaded runs this is a second (deterministic) execution
-    pass of the main core.  For multicore traces, quantum-boundary
+    For single-threaded runs this is a second execution pass of the main
+    core, fed the trace's recorded non-repeatable values.  For multicore
+    traces, quantum-boundary
     checkpoints captured during the original run are used where they
     align (``known``), and the remainder are derived by healthy log
     replay, which is exact by construction.
@@ -82,8 +109,7 @@ def fill_checkpoints(
         rerun_core = FunctionalCore(
             run.program,
             DirectMemoryPort(memory),
-            nonrep=MainNonRepSource(seed=config.seed,
-                                    core_id=config.main_id),
+            nonrep=RecordedNonRepSource(run.columns),
         )
     previous = run.start_checkpoint
     for seg in segments:
