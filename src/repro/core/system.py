@@ -94,10 +94,9 @@ class ParaVerserSystem:
 
     def _main_timing(self, run: RunResult, boundaries: list[int] | None,
                      extra_llc_ns: float,
-                     uncore: SharedUncore | None = None,
                      checkpoint_overhead: bool | None = None) -> TimingResult:
         return main_timing(self.config, run, boundaries, extra_llc_ns,
-                           uncore, checkpoint_overhead)
+                           checkpoint_overhead)
 
     # -- top level --------------------------------------------------------
 

@@ -338,8 +338,11 @@ class FunctionalCore:
         self.regs = registers or RegisterFile()
         self.nonrep = nonrep or MainNonRepSource()
         self.fault = fault_surface or NoFaults()
-        self.fu_counts = fu_counts or {}
-        self._fu_rr: dict[FUKind, int] = {}
+        # Units per FU class and the next round-robin unit, both by
+        # ``FUKind.index``, so faulted ops never hash the enum.
+        counts = fu_counts or {}
+        self._fu_units = [counts.get(kind, 1) for kind in FUKind]
+        self._fu_rr = [0] * len(FUKind)
         self.pc = program.entry if start_pc is None else start_pc
         self.committed = 0
         self.halted = False
@@ -353,11 +356,12 @@ class FunctionalCore:
 
     def _unit_for(self, fu: FUKind) -> int:
         """Round-robin unit selection, so stuck-at faults hit a subset of ops."""
-        count = self.fu_counts.get(fu, 1)
+        idx = fu.index
+        count = self._fu_units[idx]
         if count <= 1:
             return 0
-        nxt = self._fu_rr.get(fu, 0)
-        self._fu_rr[fu] = (nxt + 1) % count
+        nxt = self._fu_rr[idx]
+        self._fu_rr[idx] = (nxt + 1) % count
         return nxt
 
     def _alu(self, fu: FUKind, value: int) -> int:

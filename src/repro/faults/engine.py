@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
-from repro.core.system import CheckMode, ParaVerserSystem
+from repro.core.system import CheckMode
 from repro.cpu.presets import parse_checkers
 from repro.faults.campaign import covered_segments, segment_footprints
 from repro.faults.models import ALL_FAULT_KINDS, fault_for_trial
@@ -324,15 +324,15 @@ def build_campaign_context(cache, workload: str, config,
     """The campaign context build behind every campaign entry point.
 
     Runs ``config`` over ``cache``'s functional trace of ``workload``
-    (a :class:`~repro.harness.runner.WorkloadCache`), segments the
-    trace, and builds ``scheme``'s trial runner against the first
-    checker's core with the config's ``hash_mode``, and with the
-    segments' FU footprints so trials skip the segments a fault cannot
-    reach.  ``seed`` keys the DME decorrelation masks.
+    (a :class:`~repro.harness.runner.WorkloadCache`), takes the segments
+    that run cut the trace into, and builds ``scheme``'s trial runner
+    against the first checker's core with the config's ``hash_mode``,
+    and with the segments' FU footprints so trials skip the segments a
+    fault cannot reach.  ``seed`` keys the DME decorrelation masks.
     """
     cached = cache.get(workload)
-    result = cache.run_config(workload, config)
-    segments = ParaVerserSystem(config).segment(cached.run)
+    artifacts = cache.run_stages(workload, config)
+    result, segments = artifacts["result"], artifacts["segments"]
     footprints = segment_footprints(cached.program, cached.run.columns.pcs,
                                     segments)
     campaign = make_campaign(scheme, cached.program, segments,

@@ -41,6 +41,8 @@ from repro.cpu.tracecache import TraceCache, env_trace_cache
 from repro.envutil import env_int
 from repro.isa.program import Program
 from repro.noc.mesh import NocConfig, FAST_NOC
+from repro.pipeline.artifacts import RunRequest
+from repro.pipeline.graph import RUN_GRAPH
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import SPEC2017, get_profile
 
@@ -171,24 +173,27 @@ class WorkloadCache:
             return "disk"
         return "computed"
 
-    def run_config(self, name: str, config: ParaVerserConfig) -> SystemResult:
+    def run_stages(self, name: str, config: ParaVerserConfig) -> dict:
         """Run one benchmark under one configuration, reusing the trace.
 
-        The unchecked baseline depends on the main core *and* on the NoC
-        (demand traffic suffers queueing too), so it is cached per
-        (main, NoC) pair.
+        Returns the run's stage-graph artifact store (``segments``,
+        ``result`` and the rest; see :data:`~repro.pipeline.graph.
+        RUN_GRAPH`).  The unchecked baseline depends on the main core
+        *and* on the NoC (demand traffic suffers queueing too), so it is
+        cached per (main, NoC) pair.
         """
         cached = self.get(name)
-        system = ParaVerserSystem(config)
         key = (config.main.label, config.noc.name)
-        baseline = cached.baselines.get(key)
-        result = system.run(
-            cached.program,
-            run_result=cached.run,
-            baseline=baseline,
-        )
-        cached.baselines[key] = result.baseline_timing
-        return result
+        request = RunRequest(cached.program, run_result=cached.run,
+                             baseline=cached.baselines.get(key))
+        artifacts = RUN_GRAPH.run(ParaVerserSystem(config),
+                                  {"request": request})
+        cached.baselines[key] = artifacts["result"].baseline_timing
+        return artifacts
+
+    def run_config(self, name: str, config: ParaVerserConfig) -> SystemResult:
+        """:meth:`run_stages`, keeping only the run's result."""
+        return self.run_stages(name, config)["result"]
 
     def sweep(self, cells) -> list[SystemResult]:
         """Run many ``(benchmark, config)`` cells, in parallel if jobs > 1.

@@ -76,6 +76,12 @@ class FUKind(enum.Enum):
     LOAD = "load"
     STORE = "store"
 
+    def __init__(self, value: str) -> None:
+        #: Dense position in declaration order, for per-class state held
+        #: in lists: ``Enum.__hash__`` runs in Python, so hot paths index
+        #: by this instead of keying dicts by the member.
+        self.index = len(type(self).__members__)
+
 
 @dataclass(frozen=True)
 class OpSpec:

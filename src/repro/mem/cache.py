@@ -9,7 +9,9 @@ data array instead of tag-matching it — exactly the paper's Fig. 3 trick.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,31 @@ class Cache:
             ways.remove(tag)
             return True
         return False
+
+    def snapshot(self) -> tuple[array, array]:
+        """Compact copy of the resident lines: per-set tag counts plus
+        every set's tags, LRU first, in one flat array."""
+        return (array("H", map(len, self._sets)),
+                array("q", chain.from_iterable(self._sets)))
+
+    def restore(self, snapshot: tuple[array, array]) -> None:
+        """Make the resident lines and their LRU order equal ``snapshot``.
+
+        Statistics are left alone, and the snapshot is copied, so it can
+        be restored again after this cache has been used.
+        """
+        counts, tags = snapshot
+        if len(counts) != len(self._sets):
+            raise ValueError(
+                f"{self.config.name}: snapshot has {len(counts)} sets, "
+                f"cache has {len(self._sets)}")
+        flat = tags.tolist()
+        sets = self._sets
+        start = 0
+        for idx, count in enumerate(counts):
+            end = start + count
+            sets[idx] = flat[start:end]
+            start = end
 
     def flush(self) -> None:
         """Invalidate every line (e.g. when a cache becomes an LSL$)."""

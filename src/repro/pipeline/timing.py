@@ -76,33 +76,51 @@ def build_uncore(config: ParaVerserConfig,
 def main_timing(config: ParaVerserConfig, run: RunResult,
                 boundaries: list[int] | None,
                 extra_llc_ns: float,
-                uncore: SharedUncore | None = None,
                 checkpoint_overhead: bool | None = None,
                 stats: StatGroup | None = None) -> TimingResult:
     """Time the main core over ``run``'s trace.
 
+    The main core's data caches start warm (see :func:`warm_addresses`).
+    The first pass over a program and L1D/L2/L3 geometry warms them and
+    keeps snapshots on the program; later passes restore those.  Warming
+    leaves only cache residency behind (it resets every counter and the
+    DRAM open rows), and residency depends on the addresses and the
+    geometries alone, so a restore is exact.
+
     With ``stats``, the run's counters and the full cache/DRAM hierarchy
     state are published into that group after simulation.
     """
-    model = TimingModel(config.main,
-                        uncore or build_uncore(config, extra_llc_ns))
-    model.warm_data(warm_addresses(run.program))
+    model = TimingModel(config.main, build_uncore(config, extra_llc_ns))
+    hierarchy = model.hierarchy
+    caches = (hierarchy.l1d, hierarchy.l2, hierarchy.uncore.l3)
+    program = run.program
+    warmed = getattr(program, "_warm_snapshots", None)
+    if warmed is None:
+        warmed = program._warm_snapshots = {}
+    key = tuple(cache.config for cache in caches)
+    snapshots = warmed.get(key)
+    if snapshots is None:
+        model.warm_data(warm_addresses(program))
+        warmed[key] = tuple(cache.snapshot() for cache in caches)
+    else:
+        for cache, snapshot in zip(caches, snapshots):
+            cache.restore(snapshot)
     if checkpoint_overhead is None:
         checkpoint_overhead = boundaries is not None
-    result = model.simulate(run.program, run.columns, boundaries,
+    result = model.simulate(program, run.columns, boundaries,
                             checkpoint_overhead=checkpoint_overhead)
     if stats is not None:
         result.export_stats(stats, config.main.config)
-        model.hierarchy.export_stats(stats.group("caches"))
-        model.hierarchy.uncore.export_stats(stats.group("uncore"))
+        hierarchy.export_stats(stats.group("caches"))
+        hierarchy.uncore.export_stats(stats.group("uncore"))
     return result
 
 
 def checker_timing(config: ParaVerserConfig, run: RunResult,
-                   boundaries: list[int], instance: CoreInstance,
-                   uncore: SharedUncore | None = None) -> TimingResult:
+                   boundaries: list[int],
+                   instance: CoreInstance) -> TimingResult:
     """Time one checker class replaying the segments of ``run``."""
-    model = TimingModel(instance, uncore or build_uncore(config, 0.0),
+    model = TimingModel(instance, build_uncore(config, 0.0),
                         checker_mode=True)
     model.warm_code(run.program)
     return model.simulate(run.program, run.columns, boundaries,

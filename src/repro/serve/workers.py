@@ -338,13 +338,21 @@ class WorkerPool:
         The broken pool's worker processes are reaped — bounded join,
         then kill — before the handle is dropped, so a crash-retry loop
         cannot accumulate orphaned workers and their fds.
+
+        The old executor's manager thread joins the same processes.  If
+        it reaps a worker first, this thread's ``waitpid`` fails with
+        ``ECHILD``, which ``multiprocessing`` reads as "still running"
+        until the manager thread stores the exit code; so that thread is
+        joined too (bounded), and every exit code is settled on return.
         """
         if self._executor is None:
             return
         old, self._executor = self._executor, None
         # Snapshot before shutdown(): it drops the executor's _processes
-        # reference, and a broken pool's own reaping cannot be trusted.
+        # and manager-thread references, and a broken pool's own reaping
+        # cannot be trusted.
         procs = list((getattr(old, "_processes", None) or {}).values())
+        manager = getattr(old, "_executor_manager_thread", None)
         old.shutdown(wait=False, cancel_futures=True)
         for proc in procs:
             proc.join(timeout=self.REAP_TIMEOUT_S)
@@ -352,6 +360,8 @@ class WorkerPool:
             if proc.is_alive():
                 proc.kill()
                 proc.join()
+        if manager is not None:
+            manager.join(timeout=self.REAP_TIMEOUT_S)
 
     def shutdown(self, wait: bool = True) -> None:
         """Graceful drain: let running batches finish, then stop."""

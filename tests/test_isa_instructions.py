@@ -75,6 +75,12 @@ def test_integer_divide_uses_divider_unit():
     assert spec_of(Opcode.REM).fu is FUKind.INT_DIV
 
 
+def test_fu_kind_index_is_dense_and_leaves_the_hash_alone():
+    assert [kind.index for kind in FUKind] == list(range(len(FUKind)))
+    # Fault descriptions and set orders depend on the enum's own hash.
+    assert all(hash(kind) == hash(kind.name) for kind in FUKind)
+
+
 def test_fp_opcodes_marked_fp():
     for op in (Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV,
                Opcode.FSQRT, Opcode.FMIN, Opcode.FMAX, Opcode.FMOV):

@@ -1,5 +1,9 @@
 """WorkerPool process hygiene: reset must reap, not orphan, workers."""
 
+import os
+import threading
+import time
+
 from repro.serve.workers import WorkerPool
 
 
@@ -47,3 +51,30 @@ def test_pool_recreates_after_reset():
 
 def test_reap_timeout_is_bounded():
     assert 0 < WorkerPool.REAP_TIMEOUT_S <= 30
+
+
+def test_reset_settles_exit_codes_when_the_manager_thread_reaps_first(
+        monkeypatch):
+    """The old executor's manager thread joins the same workers.  When it
+    reaps one first, ``waitpid`` in ``reset`` fails with ECHILD and
+    ``multiprocessing`` reads the worker as alive until that thread
+    stores the exit code.  A pause between the manager thread's reap and
+    that store makes the race happen on every run."""
+    pool = WorkerPool(workers=2)
+    try:
+        procs = _spawn_workers(pool)
+        real = os.waitpid
+
+        def slow_after_reap(pid, options):
+            got = real(pid, options)
+            if got[0] == pid and \
+                    threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+            return got
+
+        monkeypatch.setattr(os, "waitpid", slow_after_reap)
+        pool.reset()
+        assert all(p.exitcode is not None for p in procs)
+        assert all(not p.is_alive() for p in procs)
+    finally:
+        pool.shutdown()
